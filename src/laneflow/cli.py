@@ -24,14 +24,21 @@ import sys
 from pathlib import Path
 
 from .census import CensusTable, parse_census, parse_counts_file
-from .compare import EnsembleSpec, run_compare, write_outputs
+from .compare import (
+    EnsembleSpec,
+    check_base_seed,
+    check_runs_per_size,
+    check_sample_sizes,
+    run_compare,
+    write_outputs,
+)
 from .config import FileConfig, parse_config_text
 from .domain import parse_vehicle_file, render_vehicle_file
 from .errors import ConfigError, DegenerateDistribution, LaneflowError, ParseError
 from .part1 import simulate_part1
 from .part2 import budget_from_part1, simulate_part2
 from .refdata import load_token_samples
-from .report import canonical_json, render_report
+from .report import canonical_json, render_report, write_text_atomic
 from .stats import class_count_sd, scale_class_counts, size_biased_expectation
 from .synth import DEFAULT_ARRIVAL_GAP_MAX, DEFAULT_SPEED_RANGES, SynthConfig, synthesize_stream
 
@@ -61,7 +68,7 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        write_text_atomic(path, text)
 
 
 def _load_census(path: str | None) -> CensusTable:
@@ -151,19 +158,38 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _checked_flag(flag: str, value, check):
+    """A flag's value under the ensemble's own rule; a bad one is a usage error."""
+    if value is None:
+        return None
+    try:
+        return check(value)
+    except ConfigError as err:
+        raise UsageError(f"{flag}: {err}") from None
+
+
+def _first_set(*values):
+    return next(value for value in values if value is not None)
+
+
 def _cmd_compare(args: argparse.Namespace) -> int:
+    # Flags are checked first, so a bad flag fails as usage before any file is read.
+    sizes = _checked_flag(
+        "--sizes", _parse_sizes(args.sizes) if args.sizes is not None else None, check_sample_sizes
+    )
+    runs = _checked_flag("--runs", args.runs, check_runs_per_size)
+    base_seed = _checked_flag("--base-seed", args.base_seed, check_base_seed)
     cfg = _load_config(args.config)
     census = _load_census(args.census)
     try:
         counts = census.usable_counts(args.row)
     except KeyError as err:
         raise UsageError(str(err.args[0])) from None
-    sizes = _parse_sizes(args.sizes) if args.sizes is not None else (cfg.sizes or (20, 25, 30, 40, 50))
     spec = EnsembleSpec(
-        sample_sizes=sizes,
-        runs_per_size=args.runs if args.runs is not None else (cfg.runs_per_size or 100),
-        base_seed=args.base_seed if args.base_seed is not None else (cfg.base_seed or 0),
-        counting_mode=args.mode if args.mode is not None else (cfg.counting_mode or "event"),
+        sample_sizes=_first_set(sizes, cfg.sizes, (20, 25, 30, 40, 50)),
+        runs_per_size=_first_set(runs, cfg.runs_per_size, 100),
+        base_seed=_first_set(base_seed, cfg.base_seed, 0),
+        counting_mode=_first_set(args.mode, cfg.counting_mode, "event"),
         source_counts=counts,
         synth=_synth_config(cfg, None),
     )

@@ -23,9 +23,9 @@ from typing import Any
 from .errors import ConfigError
 from .part1 import simulate_part1
 from .part2 import budget_from_part1, simulate_part2
-from .report import canonical_json
+from .report import canonical_json, write_text_atomic
 from .rng import combine_seed
-from .stats import ClassCountVector, TrendFit, linear_trend, scale_class_counts
+from .stats import ClassCountVector, TrendFit, linear_trend, ordered_sum, scale_class_counts
 from .svgchart import Series, render_line_chart
 from .synth import SynthConfig, synthesize_stream
 
@@ -46,18 +46,37 @@ class EnsembleSpec:
     synth: SynthConfig
 
     def __post_init__(self) -> None:
-        if not self.sample_sizes:
-            raise ConfigError("at least one sample size is required")
-        if any(b <= a for a, b in zip(self.sample_sizes, self.sample_sizes[1:])):
-            raise ConfigError("sample sizes must be strictly increasing")
-        if any(s < 1 for s in self.sample_sizes):
-            raise ConfigError("sample sizes must be positive")
-        if self.runs_per_size < 1:
-            raise ConfigError("runs_per_size must be at least 1")
-        if not 0 <= self.base_seed < (1 << 64):
-            raise ConfigError("base_seed must fit in an unsigned 64-bit integer")
+        check_sample_sizes(self.sample_sizes)
+        check_runs_per_size(self.runs_per_size)
+        check_base_seed(self.base_seed)
         if self.counting_mode not in ("event", "literal"):
             raise ConfigError("counting_mode must be 'event' or 'literal'")
+
+
+# The checks EnsembleSpec applies, one per setting, so that the CLI can apply
+# the same rule to a flag alone and report a bad flag as a usage error.
+
+
+def check_sample_sizes(sizes: tuple[int, ...]) -> tuple[int, ...]:
+    if len(sizes) < 2:
+        raise ConfigError("at least two sample sizes are required: a trend needs two points")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ConfigError("sample sizes must be strictly increasing")
+    if any(s < 1 for s in sizes):
+        raise ConfigError("sample sizes must be positive")
+    return sizes
+
+
+def check_runs_per_size(runs: int) -> int:
+    if runs < 1:
+        raise ConfigError("runs_per_size must be at least 1")
+    return runs
+
+
+def check_base_seed(seed: int) -> int:
+    if not 0 <= seed < (1 << 64):
+        raise ConfigError("base_seed must fit in an unsigned 64-bit integer")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -84,8 +103,8 @@ def run_seed(base_seed: int, size_index: int, run_index: int) -> int:
 
 def _aggregate(counts: tuple[int, ...]) -> SizeStats:
     n = len(counts)
-    mean = sum(counts) / n
-    sd = math.sqrt(sum((c - mean) ** 2 for c in counts) / n)  # population SD over the runs
+    mean = ordered_sum(counts) / n
+    sd = math.sqrt(ordered_sum((c - mean) ** 2 for c in counts) / n)  # population SD over the runs
     return SizeStats(mean=mean, sd=sd, min=min(counts), max=max(counts))
 
 
@@ -197,7 +216,8 @@ def render_chart_svg(result: CompareResult) -> str:
 
 
 def write_outputs(result: CompareResult, out_dir: str | Path) -> dict[str, Path]:
-    """Render everything first, then write — a failed run leaves no files."""
+    """Render everything first, then write each file atomically: a failed run
+    leaves no files, and a failed write no partial file."""
     directory = Path(out_dir)
     payloads = {
         "csv": (directory / "compare.csv", render_csv(result)),
@@ -207,6 +227,6 @@ def write_outputs(result: CompareResult, out_dir: str | Path) -> dict[str, Path]
     directory.mkdir(parents=True, exist_ok=True)
     written = {}
     for kind, (path, text) in payloads.items():
-        path.write_text(text, encoding="utf-8")
+        write_text_atomic(path, text)
         written[kind] = path
     return written

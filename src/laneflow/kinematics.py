@@ -17,8 +17,16 @@ behind the slow one (d_fast <= d_slow), i.e. floor of the same ratio (or 0
 when that floor is not positive).  The two agree exactly when the ratio is a
 positive integer; otherwise catch_up_ticks = literal_overtake_count + 1.
 
-All arithmetic is exact: pure integers for integer speeds, rationals (with
-decimal semantics, so a parsed "35.3" behaves as 353/10) otherwise.
+All arithmetic is exact: a parsed "35.3" behaves as 353/10, never as its
+binary float.  The planners go one step further and count on plain integers
+only.  common_scale maps every distinct speed of a stream to exact(speed) * L,
+where L is the least common multiple of the exact denominators (L = 1 for an
+integer stream).  Multiplying slow_speed and fast_speed by the same positive L
+leaves slow_speed * head_start / (fast_speed - slow_speed) unchanged, so its
+floor and ceiling, and with them every count above, are the same as on the
+exact speeds; a running lane average is likewise the scaled total divided by
+the population and by L.  Scaling also keeps the order of speeds, so speed
+comparisons on the scaled integers agree with comparisons on the speeds.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import NoAdjacentLane
 from .domain import Speed
@@ -36,6 +45,18 @@ def exact(value: Speed) -> int | Fraction:
     if isinstance(value, int):
         return value
     return Fraction(str(value))
+
+
+def common_scale(speeds: Iterable[Speed]) -> tuple[dict[Speed, int], int]:
+    """Map each distinct speed to the integer exact(speed) * L, and return L.
+
+    L is the least common multiple of the exact denominators, so it is 1
+    when every speed is an integer.  Equal speeds such as 35 and 35.0 share
+    one entry.
+    """
+    exacts = {speed: exact(speed) for speed in set(speeds)}
+    scale = math.lcm(1, *(q.denominator for q in exacts.values()))
+    return {speed: q.numerator * (scale // q.denominator) for speed, q in exacts.items()}, scale
 
 
 @dataclass(frozen=True)

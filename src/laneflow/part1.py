@@ -13,25 +13,21 @@ read two ways:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from itertools import chain
+from operator import attrgetter
+from typing import Iterable, Mapping, NamedTuple, NoReturn
 
-from .domain import LanePlan, SimulationReport, TransitionEvent, VehicleRecord
+from .domain import LanePlan, SimulationReport, Speed, TransitionEvent, VehicleRecord
 from .errors import EmptyStream, NoAdjacentLane, PlanHasNoAdjacentLane
-from .kinematics import (
-    OvertakePair,
-    catch_up_ticks,
-    exact,
-    literal_overtake_count,
-    transition_target,
-)
+from .kinematics import OvertakePair, common_scale, exact, transition_target
 
 COUNTING_MODES = ("event", "literal")
 
+_PAIR_SPEEDS = attrgetter("slow.speed", "fast.speed")
 
-@dataclass(frozen=True)
-class OvertakePairing:
+
+class OvertakePairing(NamedTuple):
     """A qualifying (leader, follower) pair and the lane they share."""
 
     slow: VehicleRecord
@@ -68,18 +64,18 @@ def build_lane_plan(vehicles: list[VehicleRecord]) -> LanePlan:
 def _enumerate_pairs(
     vehicles: list[VehicleRecord], lane_of: Mapping[str, int]
 ) -> list[OvertakePairing]:
+    # Only same-lane followers qualify, so each leader scans its own lane's
+    # members, kept in input order so pairs come out in the pairwise order.
+    members: dict[int, list[tuple[Speed, int, VehicleRecord]]] = {}
+    for v in vehicles:
+        members.setdefault(lane_of[v.id], []).append((v.speed, v.arrival, v))
     pairs: list[OvertakePairing] = []
     for slow in vehicles:
-        slow_lane = lane_of[slow.id]
-        for fast in vehicles:
-            if fast is slow:
-                continue
-            if (
-                lane_of[fast.id] == slow_lane
-                and slow.speed < fast.speed
-                and slow.arrival <= fast.arrival
-            ):
-                pairs.append(OvertakePairing(slow=slow, fast=fast, lane=slow_lane))
+        lane = lane_of[slow.id]
+        speed, arrival = slow.speed, slow.arrival
+        for fast_speed, fast_arrival, fast in members[lane]:
+            if speed < fast_speed and arrival <= fast_arrival:
+                pairs.append(OvertakePairing(slow, fast, lane))
     return pairs
 
 
@@ -92,6 +88,13 @@ def enumerate_overtake_pairs(
     in the input stream, which keeps downstream event lists deterministic.
     """
     return _enumerate_pairs(vehicles, plan.assignment)
+
+
+def _not_an_overtake(slow: VehicleRecord, fast: VehicleRecord) -> NoReturn:
+    raise ValueError(
+        f"{slow.id!r} -> {fast.id!r} is not an overtaking pair: the follower must be "
+        f"strictly faster (slow={slow.speed}, fast={fast.speed}) and arrive no earlier"
+    )
 
 
 def count_transitions(
@@ -112,24 +115,32 @@ def count_transitions(
         raise PlanHasNoAdjacentLane(
             "overtaking pairs exist but the plan holds a single lane"
         )
+    # Exact ratios slow*head/(fast-slow) on integer speeds (see kinematics).
+    scaled, _ = common_scale(chain.from_iterable(map(_PAIR_SPEEDS, pairings)))
     if mode == "literal":
-        total = sum(literal_overtake_count(p.kinematics()) for p in pairings)
+        total = 0
+        for slow, fast, _ in pairings:
+            s = scaled[slow.speed]
+            head, gain = fast.arrival - slow.arrival, scaled[fast.speed] - s
+            if head < 0 or gain <= 0:
+                _not_an_overtake(slow, fast)
+            total += s * head // gain
         return total, ()
+    targets: dict[int, int] = {}
     events = []
-    for p in pairings:
-        try:
-            target = transition_target(p.lane, lane_count, interior)
-        except NoAdjacentLane as err:  # defensive: guarded above
-            raise PlanHasNoAdjacentLane(str(err)) from err
-        events.append(
-            TransitionEvent(
-                overtaker_id=p.fast.id,
-                overtaken_id=p.slow.id,
-                from_lane=p.lane,
-                to_lane=target,
-                catch_up_ticks=catch_up_ticks(p.kinematics()),
-            )
-        )
+    for slow, fast, lane in pairings:
+        target = targets.get(lane)
+        if target is None:
+            try:
+                target = targets[lane] = transition_target(lane, lane_count, interior)
+            except NoAdjacentLane as err:  # defensive: guarded above
+                raise PlanHasNoAdjacentLane(str(err)) from err
+        s = scaled[slow.speed]
+        head, gain = fast.arrival - slow.arrival, scaled[fast.speed] - s
+        if head < 0 or gain <= 0:
+            _not_an_overtake(slow, fast)
+        ticks = -(-s * head // gain)
+        events.append(TransitionEvent(fast.id, slow.id, lane, target, ticks if ticks > 1 else 1))
     return len(events), tuple(events)
 
 

@@ -11,18 +11,21 @@ wins:
              (ties go to the lowest-indexed lane)
 
 Assignment folds over vehicles in arrival order (ties broken by input
-position).  The knowledge base is immutable: every assignment returns a new
-one, so partial folds can be kept, replayed, or compared.
+position).  The fold runs on integers: every speed is scaled by one common
+factor (kinematics.common_scale), each lane keeps a scaled total and a count,
+and the nearest rule compares |x - T/n| across lanes by cross-multiplying.
+The knowledge base it returns is immutable: kb_assign places one vehicle and
+returns a new one, so partial folds can be kept, replayed, or compared.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .domain import SimulationReport, VehicleRecord
+from .domain import SimulationReport, Speed, VehicleRecord
 from .errors import EmptyStream, InvalidBudget
-from .kinematics import exact
+from .kinematics import common_scale
 from .part1 import _enumerate_pairs, build_lane_plan, count_transitions
 
 
@@ -37,12 +40,6 @@ class LaneState:
     @property
     def population(self) -> int:
         return len(self.buffer)
-
-    def admit(self, speed: int | float) -> "LaneState":
-        # incremental mean: (avg * n + v) / (n + 1), exact in rationals
-        n = len(self.buffer)
-        new_avg = (self.average * n + exact(speed)) / (n + 1)
-        return LaneState(index=self.index, buffer=self.buffer + (speed,), average=new_avg)
 
 
 @dataclass(frozen=True)
@@ -71,40 +68,82 @@ def kb_new(budget: int) -> KnowledgeBase:
     return KnowledgeBase(lanes=(), budget=budget)
 
 
-def kb_assign(kb: KnowledgeBase, vehicle: VehicleRecord) -> tuple[KnowledgeBase, int]:
-    """Place one vehicle; returns the successor knowledge base and the lane index."""
-    speed = vehicle.speed
-    assigned = kb.assigned + 1
+class _Fold:
+    """The knowledge base while it grows, in integer units of 1/scale km/h.
 
-    # 1. exact: lowest-indexed lane whose buffer already holds this speed
-    for lane in kb.lanes:
-        if speed in lane.buffer:
-            lanes = tuple(
-                lane.admit(speed) if ln.index == lane.index else ln for ln in kb.lanes
+    Lane j (0-based) holds buffers[j], whose scaled speeds sum to totals[j].
+    lane_of_speed names the lane that first took each speed; later vehicles
+    of that speed always join it, so it is the lowest lane holding it.
+    """
+
+    def __init__(self, kb: KnowledgeBase, scaled: dict[Speed, int], scale: int) -> None:
+        self.budget = kb.budget
+        self.formation_cursor = kb.formation_cursor
+        self.assigned = kb.assigned
+        self.scaled = scaled
+        self.scale = scale
+        self.buffers = [list(lane.buffer) for lane in kb.lanes]
+        self.totals = [sum(scaled[s] for s in lane.buffer) for lane in kb.lanes]
+        self.lane_of_speed: dict[Speed, int] = {}
+        for index, lane in enumerate(kb.lanes):
+            for speed in lane.buffer:
+                self.lane_of_speed.setdefault(speed, index)
+
+    def place(self, speed: Speed) -> int:
+        """Apply the exact, grow and nearest rules; returns the 1-based lane."""
+        self.assigned += 1
+        x = self.scaled[speed]
+        lane = self.lane_of_speed.get(speed)  # 1. exact
+        if lane is None:
+            lane = len(self.buffers)
+            if lane < self.budget:  # 2. grow
+                self.buffers.append([])
+                self.totals.append(0)
+                if lane + 1 == self.budget:
+                    self.formation_cursor = self.assigned
+            else:  # 3. nearest
+                lane = self._nearest(x)
+            self.lane_of_speed[speed] = lane
+        self.buffers[lane].append(speed)
+        self.totals[lane] += x
+        return lane + 1
+
+    def _nearest(self, x: int) -> int:
+        if not self.buffers:  # cannot happen: budget >= 1 makes rule 2 fire first
+            raise RuntimeError("internal inconsistency: no lanes to place a vehicle into")
+        # |x - T_j/n_j| < |x - T_b/n_b|  <=>  |x*n_j - T_j| * n_b < |x*n_b - T_b| * n_j;
+        # strict, so ties go to the lowest index.
+        best, best_gap, best_n = 0, 0, 0
+        for lane, (buffer, total) in enumerate(zip(self.buffers, self.totals)):
+            n = len(buffer)
+            gap = abs(x * n - total)
+            if not lane or gap * best_n < best_gap * n:
+                best, best_gap, best_n = lane, gap, n
+        return best
+
+    def knowledge_base(self) -> KnowledgeBase:
+        lanes = tuple(
+            LaneState(
+                index=index,
+                buffer=tuple(buffer),
+                average=Fraction(total, len(buffer) * self.scale),
             )
-            return replace(kb, lanes=lanes, assigned=assigned), lane.index
-
-    # 2. grow: open a new lane while the budget allows it
-    if kb.lane_count < kb.budget:
-        new_lane = LaneState(index=kb.lane_count + 1, buffer=(speed,), average=Fraction(exact(speed)))
-        cursor = assigned if kb.lane_count + 1 == kb.budget else kb.formation_cursor
-        return (
-            replace(kb, lanes=kb.lanes + (new_lane,), formation_cursor=cursor, assigned=assigned),
-            new_lane.index,
+            for index, (buffer, total) in enumerate(zip(self.buffers, self.totals), start=1)
+        )
+        return KnowledgeBase(
+            lanes=lanes,
+            budget=self.budget,
+            formation_cursor=self.formation_cursor,
+            assigned=self.assigned,
         )
 
-    # 3. nearest average, ties to the lowest index
-    if not kb.lanes:  # cannot happen: budget >= 1 makes rule 2 fire first
-        raise RuntimeError("internal inconsistency: no lanes to place a vehicle into")
-    exact_speed = exact(speed)
-    best = kb.lanes[0]
-    best_gap = abs(exact_speed - best.average)
-    for lane in kb.lanes[1:]:
-        gap = abs(exact_speed - lane.average)
-        if gap < best_gap:
-            best, best_gap = lane, gap
-    lanes = tuple(lane.admit(speed) if lane.index == best.index else lane for lane in kb.lanes)
-    return replace(kb, lanes=lanes, assigned=assigned), best.index
+
+def kb_assign(kb: KnowledgeBase, vehicle: VehicleRecord) -> tuple[KnowledgeBase, int]:
+    """Place one vehicle; returns the successor knowledge base and the lane index."""
+    speeds = [speed for lane in kb.lanes for speed in lane.buffer]
+    fold = _Fold(kb, *common_scale([*speeds, vehicle.speed]))
+    lane = fold.place(vehicle.speed)
+    return fold.knowledge_base(), lane
 
 
 def budget_from_part1(vehicles: list[VehicleRecord]) -> int:
@@ -118,14 +157,13 @@ def assign_stream(
     """Fold the whole stream in arrival order; returns (kb, id -> lane index)."""
     if not vehicles:
         raise EmptyStream("cannot grow a knowledge base from an empty stream")
-    kb = kb_new(budget)
+    fold = _Fold(kb_new(budget), *common_scale(v.speed for v in vehicles))
     assignment: dict[str, int] = {}
     for v in sorted(vehicles, key=lambda v: v.arrival):  # stable: input order on ties
         if v.id in assignment:
             raise ValueError(f"duplicate vehicle id {v.id!r}")
-        kb, lane = kb_assign(kb, v)
-        assignment[v.id] = lane
-    return kb, assignment
+        assignment[v.id] = fold.place(v.speed)
+    return fold.knowledge_base(), assignment
 
 
 def simulate_part2(

@@ -7,13 +7,18 @@ each cell's proportional share (half away from zero) — deliberately NOT
 largest-remainder apportionment, so row sums may drift from the target by a
 cell or two.  linear_trend is plain ordinary least squares with r-squared
 defined as 1 when y has zero variance.
+
+Float sums go through ordered_sum, a plain left-to-right sum.  Python 3.12
+made the builtin sum() of floats compensated, which changes the last bits of
+means, deviations and trends, and with them the bytes of compare outputs;
+ordered_sum gives the same bits on every supported Python.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DegenerateDistribution, DegenerateFit, InvalidSampleSize
 
@@ -35,6 +40,14 @@ class ClassCountVector:
     @property
     def total(self) -> int:
         return sum(self.counts)
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Left-to-right sum, the same floating-point result on every Python."""
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 def _counts_of(counts: ClassCountVector | Sequence[int]) -> Sequence[int]:
@@ -76,8 +89,8 @@ def class_count_sd(counts: ClassCountVector | Sequence[int]) -> float:
     if not values:
         raise DegenerateDistribution("no classes to take a deviation over")
     k = len(values)
-    mean = sum(values) / k
-    return math.sqrt(sum((c - mean) ** 2 for c in values) / k)
+    mean = ordered_sum(values) / k
+    return math.sqrt(ordered_sum((c - mean) ** 2 for c in values) / k)
 
 
 @dataclass(frozen=True)
@@ -98,16 +111,16 @@ def linear_trend(points: Sequence[tuple[float, float]]) -> TrendFit:
     xs = [float(x) for x, _ in points]
     ys = [float(y) for _, y in points]
     n = len(points)
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    sxx = sum((x - mean_x) ** 2 for x in xs)
+    mean_x = ordered_sum(xs) / n
+    mean_y = ordered_sum(ys) / n
+    sxx = ordered_sum((x - mean_x) ** 2 for x in xs)
     if sxx == 0:
         raise DegenerateFit("all x values are equal")
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    sxy = ordered_sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     slope = sxy / sxx
     intercept = mean_y - slope * mean_x
-    ss_tot = sum((y - mean_y) ** 2 for y in ys)
+    ss_tot = ordered_sum((y - mean_y) ** 2 for y in ys)
     if ss_tot == 0:
         return TrendFit(slope=slope, intercept=intercept, r_squared=1.0)
-    ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+    ss_res = ordered_sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
     return TrendFit(slope=slope, intercept=intercept, r_squared=1.0 - ss_res / ss_tot)

@@ -6,8 +6,10 @@ import json
 
 import pytest
 
-from laneflow import parse_vehicle_file
+from laneflow import cli, parse_vehicle_file
 from laneflow.cli import EXIT_MODEL, EXIT_OK, EXIT_PARSE, EXIT_UNREADABLE, EXIT_USAGE, main
+
+from conftest import fail_write_number
 
 THREE = "id,speed,arrival\nv1,35,0\nv2,45,1\nv3,5,0\n"
 
@@ -254,6 +256,55 @@ def test_compare_rejects_bad_config(capsys, tmp_path):
     config.write_text("warp_factor = 9\n")
     code, _, err = run(capsys, "compare", "--config", str(config), "--out-dir", str(tmp_path))
     assert code == EXIT_PARSE
+
+
+@pytest.fixture
+def no_ensemble(monkeypatch):
+    """Fail the test if compare gets as far as running its ensemble."""
+
+    def refuse(spec):
+        raise AssertionError("the ensemble ran before its settings were checked")
+
+    monkeypatch.setattr(cli, "run_compare", refuse)
+
+
+@pytest.mark.parametrize("flags", [
+    ("--runs", "0"),
+    ("--sizes", "5,3"),
+    ("--sizes", "20,20"),
+    ("--sizes", "0,5"),
+    ("--sizes", "20"),
+    ("--base-seed", "-1"),
+], ids=" ".join)
+def test_compare_bad_flag_values_are_usage_errors(capsys, tmp_path, no_ensemble, flags):
+    code, _, err = run(capsys, "compare", *flags, "--out-dir", str(tmp_path))
+    assert code == EXIT_USAGE
+    assert flags[0] in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("line", [
+    "runs_per_size = 0",
+    "sizes = 5, 3",
+    "sizes = 20",
+    "base_seed = -1",
+])
+def test_compare_bad_config_values_are_parse_errors(capsys, tmp_path, no_ensemble, line):
+    config = tmp_path / "ensemble.conf"
+    config.write_text(line + "\n")
+    code, _, _ = run(capsys, "compare", "--config", str(config), "--out-dir", str(tmp_path / "out"))
+    assert code == EXIT_PARSE
+    assert not (tmp_path / "out").exists()
+
+
+def test_failed_report_write_keeps_the_old_file(capsys, three_vehicles, tmp_path, monkeypatch):
+    out = tmp_path / "report.json"
+    out.write_text("previous report\n", encoding="utf-8")
+    fail_write_number(monkeypatch, 1)
+    with pytest.raises(OSError):
+        main(["simulate", "--algo", "part1", "--input", str(three_vehicles), "--out", str(out)])
+    assert out.read_text(encoding="utf-8") == "previous report\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "three.csv"]
 
 
 def test_no_arguments_is_usage(capsys):

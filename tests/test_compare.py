@@ -11,6 +11,8 @@ import pytest
 from laneflow import ClassCountVector, ConfigError, EnsembleSpec, SynthConfig, run_compare, write_outputs
 from laneflow.compare import CSV_HEADER, render_csv, render_summary_json, run_seed
 
+from conftest import fail_write_number
+
 COUNTS = ClassCountVector(
     labels=("Cars", "Motor Cycle", "LCV", "Buses", "Trucks", "Vehicles", "Rickshaw"),
     counts=(840, 895, 268, 209, 2855, 3014, 551),
@@ -143,3 +145,13 @@ def test_written_chart_is_valid(tmp_path):
     root = ET.fromstring(written["svg"].read_text(encoding="utf-8"))
     polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
     assert len(polylines) == 2
+
+
+def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    result = run_compare(small_spec())
+    fail_write_number(monkeypatch, 3)  # compare.svg, after the csv and the json
+    with pytest.raises(OSError):
+        write_outputs(result, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["compare.csv", "compare.json"]
+    assert (tmp_path / "compare.csv").read_text(encoding="utf-8") == render_csv(result)
+    assert (tmp_path / "compare.json").read_text(encoding="utf-8") == render_summary_json(result)

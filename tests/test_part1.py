@@ -8,6 +8,7 @@ import pytest
 
 from laneflow import (
     EmptyStream,
+    OvertakePairing,
     PlanHasNoAdjacentLane,
     VehicleRecord,
     build_lane_plan,
@@ -119,6 +120,15 @@ def test_count_transitions_literal_mode():
     count, events = count_transitions(pairs, plan.lane_count, "literal")
     assert count == 3
     assert events == ()
+
+
+def test_count_transitions_rejects_non_overtaking_pairs():
+    slow, fast, later_slow = stream((35, 0), (45, 1), (35, 2))
+    for mode in ("event", "literal"):
+        for bad in (OvertakePairing(fast, slow, 1), OvertakePairing(slow, slow, 1),
+                    OvertakePairing(later_slow, fast, 1)):
+            with pytest.raises(ValueError):
+                count_transitions([bad], 2, mode)
 
 
 def test_count_transitions_empty():

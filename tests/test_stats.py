@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from laneflow.stats import ordered_sum
 from laneflow import (
     ClassCountVector,
     DegenerateDistribution,
@@ -162,3 +163,14 @@ def test_trend_degenerate_inputs():
         linear_trend([(1, 1)])
     with pytest.raises(DegenerateFit):
         linear_trend([(2, 1), (2, 9), (2, 4)])
+
+
+def test_float_sums_are_the_same_on_every_python():
+    # Python 3.12's sum() compensates rounding and gives 1.0 here; the
+    # statistics must keep the plain left-to-right result on every version.
+    assert ordered_sum([1e16, 1.0, -1e16]) == 0.0
+    assert math.fsum([1e16, 1.0, -1e16]) == 1.0
+    tenths = [0.1] * 10
+    assert ordered_sum(tenths) == 0.9999999999999999
+    assert class_count_sd(tenths) == 1.3877787807814457e-17
+    assert linear_trend([(x, 0.1) for x in range(10)]).intercept == 0.09999999999999999
