@@ -35,7 +35,7 @@ from .part1 import (
     enumerate_overtake_pairs,
     simulate_part1,
 )
-from .part2 import KnowledgeBase, LaneState, assign_stream, budget_from_part1, kb_assign, kb_new, simulate_part2
+from .part2 import KnowledgeBase, LaneState, assign_stream, budget_from_part1, simulate_part2
 from .report import canonical_json, render_report, report_to_dict
 from .rng import SplitMix64, combine_seed
 from .stats import (
@@ -94,8 +94,6 @@ __all__ = [
     "combine_seed",
     "count_transitions",
     "enumerate_overtake_pairs",
-    "kb_assign",
-    "kb_new",
     "linear_trend",
     "literal_overtake_count",
     "parse_census",

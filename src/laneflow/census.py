@@ -8,14 +8,16 @@ one row per entry.  Two markers appear in real registration tables:
     "A"  the class was folded into the Cars column; recorded as 0 with an
          annotation naming the merged label
 
-Anything else must be a non-negative integer; offenders raise ParseError
-with a 1-based line and column.
+Anything else must be a non-negative integer in plain ASCII digits
+(domain.parse_number); offenders raise ParseError with a 1-based line and
+column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .domain import parse_number
 from .errors import ParseError, RowUnusable
 from .stats import ClassCountVector
 
@@ -101,7 +103,7 @@ def parse_census(text: str) -> CensusTable:
                 merged.append(label)
             else:
                 try:
-                    value = int(cell)
+                    value = parse_number(cell)
                 except ValueError:
                     raise ParseError(
                         f"count {cell!r} is not an integer, {MISSING_MARK!r} or {MERGED_MARK!r}",
@@ -131,7 +133,7 @@ def parse_counts_file(text: str) -> ClassCountVector:
     counts = []
     for col, cell in enumerate(cells, start=1):
         try:
-            value = int(cell)
+            value = parse_number(cell)
         except ValueError:
             raise ParseError(f"count {cell!r} is not an integer", 2, col) from None
         if value < 0:

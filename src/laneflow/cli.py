@@ -12,7 +12,9 @@ Exit codes tell scripts what went wrong:
 
     0  success
     2  usage error (bad flags or arguments)
-    3  input file missing or unreadable
+    3  a file cannot be read or written (missing input, missing or
+       read-only output directory, disk full); the message names the path
+       given on the command line
     4  malformed input or config text
     5  the model rejected a well-formed input
 """
@@ -44,7 +46,7 @@ from .synth import DEFAULT_ARRIVAL_GAP_MAX, DEFAULT_SPEED_RANGES, SynthConfig, s
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_UNREADABLE = 3
+EXIT_FILE = 3
 EXIT_PARSE = 4
 EXIT_MODEL = 5
 
@@ -53,22 +55,29 @@ class UsageError(Exception):
     pass
 
 
-class UnreadableInput(Exception):
+class FileFailure(Exception):
     pass
+
+
+def _file_failure(verb: str, path: str, err: OSError) -> FileFailure:
+    return FileFailure(f"cannot {verb} {path}: {err.strerror or err}")
 
 
 def _read_file(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as err:
-        raise UnreadableInput(f"cannot read {path}: {err.strerror or err}") from err
+        raise _file_failure("read", path, err) from err
 
 
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         write_text_atomic(path, text)
+    except OSError as err:
+        raise _file_failure("write", path, err) from err
 
 
 def _load_census(path: str | None) -> CensusTable:
@@ -193,7 +202,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         source_counts=counts,
         synth=_synth_config(cfg, None),
     )
-    written = write_outputs(run_compare(spec), args.out_dir)
+    result = run_compare(spec)
+    try:
+        written = write_outputs(result, args.out_dir)
+    except OSError as err:
+        raise _file_failure("write", args.out_dir, err) from err
     for kind in ("csv", "json", "svg"):
         sys.stdout.write(f"{written[kind]}\n")
     return EXIT_OK
@@ -261,9 +274,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as err:
         print(f"laneflow: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except UnreadableInput as err:
+    except FileFailure as err:
         print(f"laneflow: {err}", file=sys.stderr)
-        return EXIT_UNREADABLE
+        return EXIT_FILE
     except (ParseError, ConfigError) as err:
         print(f"laneflow: {err}", file=sys.stderr)
         return EXIT_PARSE

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .domain import parse_number
 from .errors import ConfigError
 
 
@@ -36,7 +37,7 @@ class FileConfig:
 
 def _parse_int(value: str, key: str, lineno: int) -> int:
     try:
-        return int(value)
+        return parse_number(value)
     except ValueError:
         raise ConfigError(f"line {lineno}: {key} expects an integer, got {value!r}") from None
 

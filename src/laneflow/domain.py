@@ -16,7 +16,9 @@ as 10.5 resolve to the earlier band.  Anything at or below 0, or at or above
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 from .errors import EmptyStream, ParseError, SpeedOutOfModel
 
@@ -153,19 +155,20 @@ class SimulationReport:
 
 VEHICLE_FILE_HEADER = ("id", "speed", "arrival")
 
+# The one number grammar of every input file: ASCII digits, an optional
+# leading minus, and (for speeds only) one dot with digits on both sides.
+# Python's int() and float() would also take "1_0", "+5", "1e1", "inf" and
+# non-ASCII digits.
+_NUMBER = re.compile(r"-?[0-9]+(\.[0-9]+)?")
 
-def _parse_speed_cell(text: str, line: int, column: int) -> Speed:
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        value = float(text)
-    except ValueError:
-        raise ParseError(f"speed {text!r} is not a number", line, column) from None
-    if value != value or value in (float("inf"), float("-inf")):
-        raise ParseError(f"speed {text!r} is not a finite number", line, column)
-    return value
+
+def parse_number(text: str, decimal: bool = False) -> int | float:
+    """Read -?[0-9]+ as an int, or with decimal=True also -?[0-9]+.[0-9]+ as
+    float(text); raises ValueError for anything else."""
+    match = _NUMBER.fullmatch(text)
+    if match is None or (match[1] and not decimal):
+        raise ValueError(f"{text!r} is not a number")
+    return float(text) if match[1] else int(text)
 
 
 def parse_vehicle_file(text: str) -> list[VehicleRecord]:
@@ -194,9 +197,12 @@ def parse_vehicle_file(text: str) -> list[VehicleRecord]:
         if vid in seen:
             raise ParseError(f"duplicate vehicle id {vid!r}", lineno, 1)
         seen.add(vid)
-        speed = _parse_speed_cell(speed_text, lineno, 2)
         try:
-            arrival = int(arrival_text)
+            speed = parse_number(speed_text, decimal=True)
+        except ValueError:
+            raise ParseError(f"speed {speed_text!r} is not a number", lineno, 2) from None
+        try:
+            arrival = parse_number(arrival_text)
         except ValueError:
             raise ParseError(f"arrival {arrival_text!r} is not an integer", lineno, 3) from None
         if arrival < 0:
@@ -210,5 +216,8 @@ def parse_vehicle_file(text: str) -> list[VehicleRecord]:
 def render_vehicle_file(vehicles: list[VehicleRecord]) -> str:
     lines = [",".join(VEHICLE_FILE_HEADER)]
     for v in vehicles:
-        lines.append(f"{v.id},{v.speed},{v.arrival}")
+        speed = str(v.speed)
+        if "e" in speed:  # e.g. 5e-05: parse_number reads positional digits only
+            speed = format(Decimal(speed), "f")
+        lines.append(f"{v.id},{speed},{v.arrival}")
     return "\n".join(lines) + "\n"

@@ -13,14 +13,13 @@ read two ways:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, NoReturn
 
 from .domain import LanePlan, SimulationReport, Speed, TransitionEvent, VehicleRecord
 from .errors import EmptyStream, NoAdjacentLane, PlanHasNoAdjacentLane
-from .kinematics import OvertakePair, common_scale, exact, transition_target
+from .kinematics import common_scale, transition_target
 
 COUNTING_MODES = ("event", "literal")
 
@@ -33,13 +32,6 @@ class OvertakePairing(NamedTuple):
     slow: VehicleRecord
     fast: VehicleRecord
     lane: int
-
-    def kinematics(self) -> OvertakePair:
-        return OvertakePair(
-            slow_speed=self.slow.speed,
-            fast_speed=self.fast.speed,
-            head_start=self.fast.arrival - self.slow.arrival,
-        )
 
 
 def build_lane_plan(vehicles: list[VehicleRecord]) -> LanePlan:
@@ -61,9 +53,15 @@ def build_lane_plan(vehicles: list[VehicleRecord]) -> LanePlan:
     return LanePlan(lane_count=len(lane_class), assignment=assignment, lane_class=lane_class)
 
 
-def _enumerate_pairs(
+def enumerate_overtake_pairs(
     vehicles: list[VehicleRecord], lane_of: Mapping[str, int]
 ) -> list[OvertakePairing]:
+    """Every ordered same-lane pair with a strictly faster, no-earlier follower.
+
+    lane_of maps each vehicle id to its lane.  Pairs come back
+    lexicographically by (leader position, follower position) in the input
+    stream, which keeps downstream event lists deterministic.
+    """
     # Only same-lane followers qualify, so each leader scans its own lane's
     # members, kept in input order so pairs come out in the pairwise order.
     members: dict[int, list[tuple[Speed, int, VehicleRecord]]] = {}
@@ -77,17 +75,6 @@ def _enumerate_pairs(
             if speed < fast_speed and arrival <= fast_arrival:
                 pairs.append(OvertakePairing(slow, fast, lane))
     return pairs
-
-
-def enumerate_overtake_pairs(
-    vehicles: list[VehicleRecord], plan: LanePlan
-) -> list[OvertakePairing]:
-    """Every ordered same-lane pair with a strictly faster, no-earlier follower.
-
-    Pairs come back lexicographically by (leader position, follower position)
-    in the input stream, which keeps downstream event lists deterministic.
-    """
-    return _enumerate_pairs(vehicles, plan.assignment)
 
 
 def _not_an_overtake(slow: VehicleRecord, fast: VehicleRecord) -> NoReturn:
@@ -147,15 +134,21 @@ def count_transitions(
 def lane_statistics(
     vehicles: list[VehicleRecord], lane_of: Mapping[str, int], lane_count: int
 ) -> tuple[dict[int, float], dict[int, int]]:
-    """Per-lane mean speed and population, averaged exactly then floated."""
-    totals: dict[int, Fraction | int] = {lane: 0 for lane in range(1, lane_count + 1)}
-    members: dict[int, int] = {lane: 0 for lane in range(1, lane_count + 1)}
+    """Per-lane mean speed and population, averaged exactly then floated.
+
+    Speeds are summed on the common integer scale L, so a lane's mean is the
+    rational total / (population * L); Python's int / int rounds that ratio
+    correctly, so the float is the exact mean's nearest float.
+    """
+    scaled, scale = common_scale(v.speed for v in vehicles)
+    totals = dict.fromkeys(range(1, lane_count + 1), 0)
+    members = dict.fromkeys(range(1, lane_count + 1), 0)
     for v in vehicles:
         lane = lane_of[v.id]
-        totals[lane] += exact(v.speed)
+        totals[lane] += scaled[v.speed]
         members[lane] += 1
     averages = {
-        lane: float(Fraction(totals[lane]) / members[lane])
+        lane: totals[lane] / (members[lane] * scale)
         for lane in totals
         if members[lane]
     }
@@ -167,7 +160,7 @@ def simulate_part1(
 ) -> SimulationReport:
     """Plan lanes by speed class and count overtaking transitions."""
     plan = build_lane_plan(vehicles)
-    pairs = enumerate_overtake_pairs(vehicles, plan)
+    pairs = enumerate_overtake_pairs(vehicles, plan.assignment)
     count, events = count_transitions(pairs, plan.lane_count, mode, interior)
     averages, populations = lane_statistics(vehicles, plan.assignment, plan.lane_count)
     return SimulationReport(

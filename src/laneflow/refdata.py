@@ -1,18 +1,12 @@
 """Loaders for the reference data bundled with the package.
 
-Four files ship under laneflow/data:
+Two files ship under laneflow/data:
 
-* token_samples.csv        ten raw per-class count rows (census format); the
-                           default sampling source for the CLI
-* metro_registrations.csv  city vehicle registrations with "-" and "A"
-                           markers, exercising the full census format
-* sample_tables.csv        downscaled sample tables with their expectation
-                           column; cells that were reconstructed by scaling
-                           rather than transcribed carry their labels in the
-                           last column
-* dispersion_reference.csv standard-deviation series shipped as reference
-                           data only (no operation in this package generates
-                           them)
+* token_samples.csv  ten raw per-class count rows (census format); the
+                     default sampling source for the CLI
+* sample_tables.csv  downscaled sample tables with their expectation column;
+                     cells that were reconstructed by scaling rather than
+                     transcribed carry their labels in the last column
 """
 
 from __future__ import annotations
@@ -32,10 +26,6 @@ def _read(name: str) -> str:
 
 def load_token_samples() -> CensusTable:
     return parse_census(_read("token_samples.csv"))
-
-
-def load_metro_registrations() -> CensusTable:
-    return parse_census(_read("metro_registrations.csv"))
 
 
 @dataclass(frozen=True)
@@ -73,11 +63,3 @@ def load_sample_tables() -> tuple[SampleTableRow, ...]:
             )
         )
     return tuple(rows)
-
-
-def load_dispersion_reference() -> tuple[tuple[int, float], ...]:
-    lines = _read("dispersion_reference.csv").splitlines()
-    return tuple(
-        (int(size), float(value))
-        for size, value in (line.split(",") for line in lines[1:])
-    )

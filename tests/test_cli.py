@@ -7,7 +7,7 @@ import json
 import pytest
 
 from laneflow import cli, parse_vehicle_file
-from laneflow.cli import EXIT_MODEL, EXIT_OK, EXIT_PARSE, EXIT_UNREADABLE, EXIT_USAGE, main
+from laneflow.cli import EXIT_FILE, EXIT_MODEL, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 
 from conftest import fail_write_number
 
@@ -86,7 +86,7 @@ def test_simulate_rejects_garbage_budget(capsys, three_vehicles):
 def test_missing_input_names_the_path(capsys, tmp_path):
     ghost = tmp_path / "ghost.csv"
     code, _, err = run(capsys, "simulate", "--algo", "part1", "--input", str(ghost))
-    assert code == EXIT_UNREADABLE
+    assert code == EXIT_FILE
     assert "ghost.csv" in err
 
 
@@ -301,10 +301,73 @@ def test_failed_report_write_keeps_the_old_file(capsys, three_vehicles, tmp_path
     out = tmp_path / "report.json"
     out.write_text("previous report\n", encoding="utf-8")
     fail_write_number(monkeypatch, 1)
-    with pytest.raises(OSError):
-        main(["simulate", "--algo", "part1", "--input", str(three_vehicles), "--out", str(out)])
+    code, _, err = run(
+        capsys, "simulate", "--algo", "part1", "--input", str(three_vehicles), "--out", str(out)
+    )
+    assert code == EXIT_FILE
+    assert err == f"laneflow: cannot write {out}: No space left on device\n"
     assert out.read_text(encoding="utf-8") == "previous report\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "three.csv"]
+
+
+@pytest.fixture
+def blocker(tmp_path):
+    """A regular file, so that any path below it cannot be created."""
+    path = tmp_path / "blocker"
+    path.write_text("not a directory\n", encoding="utf-8")
+    return path
+
+
+WRITERS = {
+    "simulate": ("simulate", "--algo", "part1", "--input", "{three}", "--out"),
+    "sample": ("sample", "--n", "20", "--out"),
+    "stats": ("stats", "--counts", "{counts}", "--n", "20", "--out"),
+    "compare": ("compare", "--sizes", "8,12", "--runs", "2", "--out-dir"),
+}
+
+
+# compare creates a missing --out-dir, so only a path below a file stops it
+@pytest.mark.parametrize("command, target", [
+    *((WRITERS[name], target) for name in ("simulate", "sample", "stats")
+      for target in ("missing/out", "blocker/sub")),
+    (WRITERS["compare"], "blocker/sub"),
+], ids=lambda value: value[0] if isinstance(value, tuple) else value)
+def test_unwritable_output_exits_3_naming_the_path(capsys, tmp_path, three_vehicles, blocker,
+                                                    command, target):
+    counts = tmp_path / "counts.csv"
+    counts.write_text("Cars,Buses\n2,1\n", encoding="utf-8")
+    out = tmp_path / target
+    argv = [arg.format(three=three_vehicles, counts=counts) for arg in command]
+    code, stdout, err = run(capsys, *argv, str(out))
+    assert code == EXIT_FILE
+    assert err.startswith(f"laneflow: cannot write {out}: ")
+    assert "Traceback" not in err and ".tmp" not in err
+    assert stdout == ""
+    assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+
+
+# (command line with {} for the file, file text with {} for the number)
+NUMBER_FIELDS = {
+    "vehicle speed": (("simulate", "--algo", "part1", "--input", "{}"),
+                      "id,speed,arrival\nv1,{},0\n"),
+    "vehicle arrival": (("simulate", "--algo", "part1", "--input", "{}"),
+                        "id,speed,arrival\nv1,35,{}\n"),
+    "census count": (("sample", "--n", "5", "--seed", "1", "--census", "{}"),
+                     "city,Cars,Buses\nTown,{},3\n"),
+    "counts file": (("stats", "--n", "5", "--counts", "{}"), "Cars,Buses\n{},3\n"),
+    "config integer": (("sample", "--n", "5", "--config", "{}"), "seed = {}\n"),
+}
+
+
+@pytest.mark.parametrize("field", NUMBER_FIELDS)
+@pytest.mark.parametrize("text", ["1_0", "\u0663", "1e1", "inf", "+5"])
+def test_numbers_outside_the_ascii_grammar_are_parse_errors(capsys, tmp_path, field, text):
+    argv, template = NUMBER_FIELDS[field]
+    path = tmp_path / "input.txt"
+    path.write_text(template.format(text), encoding="utf-8")
+    code, out, err = run(capsys, *(arg.format(path) for arg in argv))
+    assert code == EXIT_PARSE, err
+    assert out == ""
 
 
 def test_no_arguments_is_usage(capsys):

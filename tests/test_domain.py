@@ -114,6 +114,7 @@ def test_parse_round_trip():
         VehicleRecord(id="v1", speed=35, arrival=0),
         VehicleRecord(id="v2", speed=45.5, arrival=1),
         VehicleRecord(id="v3", speed=5, arrival=2),
+        VehicleRecord(id="v4", speed=5e-05, arrival=3),  # str() would give exponent form
     ]
     text = render_vehicle_file(vehicles)
     assert text.splitlines()[0] == "id,speed,arrival"

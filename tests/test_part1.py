@@ -68,24 +68,25 @@ def test_lane_formation_rejects_bad_input():
 
 
 def test_pair_enumeration_guard():
-    plan_and_pairs = lambda vs: enumerate_overtake_pairs(vs, build_lane_plan(vs))
+    plan_and_pairs = lambda vs: enumerate_overtake_pairs(vs, build_lane_plan(vs).assignment)
+    head_start = lambda pair: pair.fast.arrival - pair.slow.arrival
 
     caught_up = plan_and_pairs(stream((35, 0), (45, 1)))
     assert len(caught_up) == 1
-    assert caught_up[0].kinematics().head_start == 1
+    assert head_start(caught_up[0]) == 1
 
     assert plan_and_pairs(stream((35, 1), (45, 0))) == []
 
     same_tick = plan_and_pairs(stream((35, 0), (40, 0)))
     assert len(same_tick) == 1
-    assert same_tick[0].kinematics().head_start == 0
+    assert head_start(same_tick[0]) == 0
 
 
 def test_pair_enumeration_covers_all_ordered_pairs():
     # v3 is slower than v1 but listed later; the (v3, v1) pair must
     # still be found, and order must follow input positions.
     vehicles = stream((40, 5), (45, 9), (35, 2))
-    pairs = enumerate_overtake_pairs(vehicles, build_lane_plan(vehicles))
+    pairs = enumerate_overtake_pairs(vehicles, build_lane_plan(vehicles).assignment)
     labels = [(p.slow.id, p.fast.id) for p in pairs]
     assert labels == [("v1", "v2"), ("v3", "v1"), ("v3", "v2")]
 
@@ -93,7 +94,7 @@ def test_pair_enumeration_covers_all_ordered_pairs():
 def test_count_transitions_event_mode():
     vehicles = stream((20, 0), (35, 0), (45, 1))  # lane 1: B, lane 2: C x2
     plan = build_lane_plan(vehicles)
-    pairs = enumerate_overtake_pairs(vehicles, plan)
+    pairs = enumerate_overtake_pairs(vehicles, plan.assignment)
     count, events = count_transitions(pairs, plan.lane_count, "event")
     assert count == 1
     event = events[0]
@@ -106,7 +107,7 @@ def test_count_transitions_event_mode():
 def test_count_transitions_interior_preference():
     vehicles = stream((5, 0), (35, 0), (45, 1), (60, 0))  # C pair sits in lane 2 of 3
     plan = build_lane_plan(vehicles)
-    pairs = enumerate_overtake_pairs(vehicles, plan)
+    pairs = enumerate_overtake_pairs(vehicles, plan.assignment)
     _, lower = count_transitions(pairs, plan.lane_count, "event", interior="lower")
     _, upper = count_transitions(pairs, plan.lane_count, "event", interior="upper")
     assert lower[0].to_lane == 1
@@ -116,7 +117,7 @@ def test_count_transitions_interior_preference():
 def test_count_transitions_literal_mode():
     vehicles = stream((20, 0), (35, 0), (45, 1))
     plan = build_lane_plan(vehicles)
-    pairs = enumerate_overtake_pairs(vehicles, plan)
+    pairs = enumerate_overtake_pairs(vehicles, plan.assignment)
     count, events = count_transitions(pairs, plan.lane_count, "literal")
     assert count == 3
     assert events == ()

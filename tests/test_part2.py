@@ -15,8 +15,6 @@ from laneflow import (
     VehicleRecord,
     assign_stream,
     budget_from_part1,
-    kb_assign,
-    kb_new,
     render_report,
     simulate_part2,
 )
@@ -33,34 +31,24 @@ def stream(*speed_arrivals):
 
 
 def fold(budget, speeds):
-    kb = kb_new(budget)
-    lanes = []
-    for i, speed in enumerate(speeds):
-        kb, lane = kb_assign(kb, VehicleRecord(id=f"v{i + 1}", speed=speed, arrival=i))
-        lanes.append(lane)
-    return kb, lanes
-
-
-def test_new_knowledge_base():
-    kb = kb_new(3)
-    assert kb.lane_count == 0
-    assert kb.budget == 3
-    assert kb.formation_cursor == 0
+    vehicles = stream(*((speed, i) for i, speed in enumerate(speeds)))
+    kb, assignment = assign_stream(vehicles, budget)
+    return kb, [assignment[v.id] for v in vehicles]
 
 
 def test_budget_must_be_positive_integer():
     for bad in (0, -1, 2.0, True):
         with pytest.raises(InvalidBudget):
-            kb_new(bad)
+            assign_stream(stream((10, 0)), bad)
 
 
 def test_assignment_walkthrough():
     kb, lanes = fold(2, [10, 10, 50, 28])
     assert lanes == [1, 1, 2, 1]
     assert kb.lanes[0].buffer == (10, 10, 28)
-    assert kb.lanes[0].average == Fraction(16)
     assert kb.lanes[1].buffer == (50,)
-    assert kb.lanes[1].average == Fraction(50)
+    report = simulate_part2(stream((10, 0), (10, 1), (50, 2), (28, 3)), budget=2)
+    assert report.lane_average_speed == {1: 16.0, 2: 50.0}
 
 
 def test_formation_only():
@@ -72,7 +60,10 @@ def test_formation_only():
 def test_single_lane_takes_everything():
     kb, lanes = fold(1, [10, 90])
     assert lanes == [1, 1]
-    assert kb.lanes[0].average == Fraction(50)
+    assert kb.lanes[0].buffer == (10, 90)
+    # the 90 leaves first, so the lone lane holds no overtaking pair
+    report = simulate_part2(stream((90, 0), (10, 1)), budget=1)
+    assert report.lane_average_speed == {1: 50.0}
 
 
 def test_nearest_average_ties_go_low():
@@ -88,22 +79,6 @@ def test_exact_match_beats_formation_and_distance():
     assert kb.lane_count == 2
 
 
-def test_assignment_does_not_mutate_inputs():
-    kb0 = kb_new(2)
-    kb1, _ = kb_assign(kb0, VehicleRecord(id="a", speed=10, arrival=0))
-    kb2, _ = kb_assign(kb1, VehicleRecord(id="b", speed=40, arrival=1))
-    assert kb0.lane_count == 0 and kb0.assigned == 0
-    assert kb1.lane_count == 1 and kb1.lanes[0].buffer == (10,)
-    assert kb2.lane_count == 2
-
-
-def test_formation_cursor_freezes_when_budget_fills():
-    kb, _ = fold(2, [10, 10, 50, 28])
-    assert kb.formation_cursor == 3  # the 50 opened lane 2 as third vehicle
-    under_budget, _ = fold(5, [10, 10])
-    assert under_budget.formation_cursor == 0
-
-
 def test_assignment_follows_arrival_order_with_stable_ties():
     vehicles = [
         VehicleRecord(id="late", speed=20, arrival=5),
@@ -114,7 +89,7 @@ def test_assignment_follows_arrival_order_with_stable_ties():
     assert assignment == {"first": 1, "late": 2, "tied": 2}
     assert kb.lanes[0].buffer == (10,)
     assert kb.lanes[1].buffer == (20, 30)
-    assert kb.lanes[1].average == Fraction(25)
+    assert simulate_part2(vehicles, budget=2).lane_average_speed == {1: 10.0, 2: 25.0}
 
 
 def test_assign_stream_rejects_bad_input():
@@ -180,15 +155,20 @@ def test_random_streams_satisfy_invariants():
         budget = distinct if seed % 5 == 0 else rng.randint(1, 6)
 
         kb, assignment = assign_stream(vehicles, budget)
-        assert sum(lane.population for lane in kb.lanes) == len(vehicles)
+        assert sum(len(lane.buffer) for lane in kb.lanes) == len(vehicles)
         assert kb.lane_count <= budget
         assert kb.lane_count == min(budget, distinct)
         assert [lane.index for lane in kb.lanes] == list(range(1, kb.lane_count + 1))
 
-        for lane in kb.lanes:
-            recomputed = Fraction(sum(exact(s) for s in lane.buffer)) / len(lane.buffer)
-            assert lane.average == recomputed
-            assert abs(float(lane.average) - float(recomputed)) <= 1e-9
+        try:
+            report = simulate_part2(vehicles, budget)
+        except PlanHasNoAdjacentLane:
+            assert kb.lane_count == 1
+        else:
+            for lane in kb.lanes:
+                recomputed = Fraction(sum(exact(s) for s in lane.buffer)) / len(lane.buffer)
+                assert report.lane_average_speed[lane.index] == float(recomputed)
+                assert report.lane_population[lane.index] == len(lane.buffer)
 
         if budget >= distinct:
             # each lane holds exactly one distinct speed, so no lane can

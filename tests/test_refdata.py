@@ -2,17 +2,29 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
-from laneflow import size_biased_expectation
+from laneflow import parse_census, size_biased_expectation
 from laneflow.errors import RowUnusable
-from laneflow.refdata import (
-    SAMPLE_LABELS,
-    load_dispersion_reference,
-    load_metro_registrations,
-    load_sample_tables,
-    load_token_samples,
-)
+from laneflow.refdata import SAMPLE_LABELS, load_sample_tables, load_token_samples
+
+DATA = Path(__file__).with_name("data")
+
+
+def load_metro_registrations():
+    """City vehicle registrations with "-" and "A" markers: the full census format."""
+    return parse_census((DATA / "metro_registrations.csv").read_text(encoding="utf-8"))
+
+
+def load_dispersion_reference():
+    """Standard-deviation series kept as reference data only; nothing computes them."""
+    lines = (DATA / "dispersion_reference.csv").read_text(encoding="utf-8").splitlines()
+    return tuple(
+        (int(size), float(value))
+        for size, value in (line.split(",") for line in lines[1:])
+    )
 
 ROW_1 = (840, 895, 268, 209, 2855, 3014, 551)
 
