@@ -1,10 +1,9 @@
 """Deterministic traffic lane planning, sampling, and comparison tools."""
 
-from .census import CensusRow, CensusTable, parse_census, parse_counts_file
-from .compare import CompareResult, EnsembleSpec, SizeStats, run_compare, write_outputs
-from .config import FileConfig, parse_config_text
+from .census import parse_census, parse_counts_file
+from .compare import EnsembleSpec, run_compare, write_outputs
+from .config import parse_config_text
 from .domain import (
-    LanePlan,
     SimulationReport,
     SpeedClass,
     TransitionEvent,
@@ -35,38 +34,30 @@ from .part1 import (
     enumerate_overtake_pairs,
     simulate_part1,
 )
-from .part2 import KnowledgeBase, LaneState, assign_stream, budget_from_part1, simulate_part2
+from .part2 import assign_stream, budget_from_part1, simulate_part2
 from .report import canonical_json, render_report, report_to_dict
 from .rng import SplitMix64, combine_seed
 from .stats import (
     ClassCountVector,
-    TrendFit,
     class_count_sd,
     linear_trend,
     scale_class_counts,
     size_biased_expectation,
 )
-from .synth import DEFAULT_ARRIVAL_GAP_MAX, DEFAULT_SPEED_RANGES, SynthConfig, synthesize_stream
+from .synth import SynthConfig, synthesize_stream
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CensusRow",
-    "CensusTable",
     "ClassCountVector",
-    "CompareResult",
     "ConfigError",
     "DegenerateDistribution",
     "DegenerateFit",
     "EmptyStream",
     "EnsembleSpec",
-    "FileConfig",
     "InvalidBudget",
     "InvalidSampleSize",
-    "KnowledgeBase",
     "LaneflowError",
-    "LanePlan",
-    "LaneState",
     "NoAdjacentLane",
     "OvertakePair",
     "OvertakePairing",
@@ -74,16 +65,12 @@ __all__ = [
     "PlanHasNoAdjacentLane",
     "RowUnusable",
     "SimulationReport",
-    "SizeStats",
     "SpeedClass",
     "SpeedOutOfModel",
     "SplitMix64",
     "SynthConfig",
     "TransitionEvent",
-    "TrendFit",
     "VehicleRecord",
-    "DEFAULT_ARRIVAL_GAP_MAX",
-    "DEFAULT_SPEED_RANGES",
     "assign_stream",
     "budget_from_part1",
     "build_lane_plan",

@@ -50,7 +50,7 @@ class CensusTable:
                 if row.name == key:
                     return row
             try:
-                key = int(key)
+                key = parse_number(key)
             except ValueError:
                 raise KeyError(f"no census row named {key!r}") from None
         if not 1 <= key <= len(self.rows):

@@ -25,7 +25,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .census import CensusTable, parse_census, parse_counts_file
+from .census import parse_census, parse_counts_file
 from .compare import (
     EnsembleSpec,
     check_base_seed,
@@ -35,13 +35,13 @@ from .compare import (
     write_outputs,
 )
 from .config import FileConfig, parse_config_text
-from .domain import parse_vehicle_file, render_vehicle_file
+from .domain import parse_number, parse_vehicle_file, render_vehicle_file
 from .errors import ConfigError, DegenerateDistribution, LaneflowError, ParseError
 from .part1 import simulate_part1
 from .part2 import budget_from_part1, simulate_part2
 from .refdata import load_token_samples
 from .report import canonical_json, render_report, write_text_atomic
-from .stats import class_count_sd, scale_class_counts, size_biased_expectation
+from .stats import ClassCountVector, class_count_sd, scale_class_counts, size_biased_expectation
 from .synth import DEFAULT_ARRIVAL_GAP_MAX, DEFAULT_SPEED_RANGES, SynthConfig, synthesize_stream
 
 EXIT_OK = 0
@@ -68,6 +68,8 @@ def _read_file(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise _file_failure("read", path, err) from err
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path} is not UTF-8 text: byte {err.start} cannot be decoded") from None
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -80,10 +82,12 @@ def _write_text(path: str | None, text: str) -> None:
         raise _file_failure("write", path, err) from err
 
 
-def _load_census(path: str | None) -> CensusTable:
-    if path is None:
-        return load_token_samples()
-    return parse_census(_read_file(path))
+def _row_counts(args: argparse.Namespace) -> ClassCountVector:
+    census = load_token_samples() if args.census is None else parse_census(_read_file(args.census))
+    try:
+        return census.usable_counts(args.row)
+    except KeyError as err:
+        raise UsageError(f"--row: {err.args[0]}") from None
 
 
 def _load_config(path: str | None) -> FileConfig:
@@ -92,24 +96,45 @@ def _load_config(path: str | None) -> FileConfig:
     return parse_config_text(_read_file(path))
 
 
+def _first_set(*values):
+    return next(value for value in values if value is not None)
+
+
 def _synth_config(cfg: FileConfig, seed_flag: int | None) -> SynthConfig:
-    ranges = dict(DEFAULT_SPEED_RANGES)
-    ranges.update(cfg.speed_ranges)
-    seed = seed_flag if seed_flag is not None else (cfg.seed if cfg.seed is not None else 0)
     return SynthConfig(
-        class_speed_range=ranges,
-        arrival_gap_max=cfg.arrival_gap_max
-        if cfg.arrival_gap_max is not None
-        else DEFAULT_ARRIVAL_GAP_MAX,
-        seed=seed,
+        class_speed_range={**DEFAULT_SPEED_RANGES, **cfg.speed_ranges},
+        arrival_gap_max=_first_set(cfg.arrival_gap_max, DEFAULT_ARRIVAL_GAP_MAX),
+        seed=_first_set(seed_flag, cfg.seed, 0),
     )
 
 
-def _parse_sizes(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p.strip()) for p in text.split(","))
-    except ValueError:
-        raise UsageError(f"--sizes expects comma-separated integers, got {text!r}") from None
+def _number_flag(check, listed: bool = False):
+    """An argparse type: the input files' number grammar, then the setting's
+    own rule, so a bad value is a usage error naming its flag (exit 2).
+    listed=True reads comma-separated numbers into a tuple."""
+
+    def convert(text: str):
+        try:
+            if listed:
+                return check(tuple(parse_number(part.strip()) for part in text.split(",")))
+            return check(parse_number(text))
+        except (ValueError, ConfigError) as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+
+    return convert
+
+
+def _at_least_one(value: int) -> int:
+    if value < 1:
+        raise ValueError("must be at least 1")
+    return value
+
+
+_count_flag = _number_flag(_at_least_one)
+
+
+def _budget_flag(text: str) -> int | str:
+    return text if text == "auto" else _count_flag(text)
 
 
 # ---------------------------------------------------------------------------
@@ -124,25 +149,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.algo == "part1":
         report = simulate_part1(vehicles, mode=args.mode, interior=args.interior)
     else:
-        budget_text = args.budget if args.budget is not None else "auto"
-        if budget_text == "auto":
-            budget = budget_from_part1(vehicles)
-        else:
-            try:
-                budget = int(budget_text)
-            except ValueError:
-                raise UsageError(f"--budget expects an integer or 'auto', got {budget_text!r}") from None
+        budget = args.budget if args.budget not in (None, "auto") else budget_from_part1(vehicles)
         report = simulate_part2(vehicles, budget, mode=args.mode, interior=args.interior)
     _write_text(args.out, render_report(report))
     return EXIT_OK
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    census = _load_census(args.census)
-    try:
-        counts = census.usable_counts(args.row)
-    except KeyError as err:
-        raise UsageError(str(err.args[0])) from None
+    counts = _row_counts(args)
     scaled = scale_class_counts(counts, args.n)
     if scaled.total == 0:
         raise DegenerateDistribution(
@@ -167,37 +181,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _checked_flag(flag: str, value, check):
-    """A flag's value under the ensemble's own rule; a bad one is a usage error."""
-    if value is None:
-        return None
-    try:
-        return check(value)
-    except ConfigError as err:
-        raise UsageError(f"{flag}: {err}") from None
-
-
-def _first_set(*values):
-    return next(value for value in values if value is not None)
-
-
 def _cmd_compare(args: argparse.Namespace) -> int:
-    # Flags are checked first, so a bad flag fails as usage before any file is read.
-    sizes = _checked_flag(
-        "--sizes", _parse_sizes(args.sizes) if args.sizes is not None else None, check_sample_sizes
-    )
-    runs = _checked_flag("--runs", args.runs, check_runs_per_size)
-    base_seed = _checked_flag("--base-seed", args.base_seed, check_base_seed)
     cfg = _load_config(args.config)
-    census = _load_census(args.census)
-    try:
-        counts = census.usable_counts(args.row)
-    except KeyError as err:
-        raise UsageError(str(err.args[0])) from None
+    counts = _row_counts(args)
     spec = EnsembleSpec(
-        sample_sizes=_first_set(sizes, cfg.sizes, (20, 25, 30, 40, 50)),
-        runs_per_size=_first_set(runs, cfg.runs_per_size, 100),
-        base_seed=_first_set(base_seed, cfg.base_seed, 0),
+        sample_sizes=_first_set(args.sizes, cfg.sizes, (20, 25, 30, 40, 50)),
+        runs_per_size=_first_set(args.runs, cfg.runs_per_size, 100),
+        base_seed=_first_set(args.base_seed, cfg.base_seed, 0),
         counting_mode=_first_set(args.mode, cfg.counting_mode, "event"),
         source_counts=counts,
         synth=_synth_config(cfg, None),
@@ -228,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--algo", choices=("part1", "part2"), required=True)
     p_sim.add_argument("--input", required=True, help="vehicle CSV (id,speed,arrival)")
     p_sim.add_argument("--mode", choices=("event", "literal"), default="event")
-    p_sim.add_argument("--budget", default=None, help="lane budget for part2: an integer or 'auto'")
+    p_sim.add_argument("--budget", type=_budget_flag, default=None,
+                       help="lane budget for part2: an integer or 'auto'")
     p_sim.add_argument("--interior", choices=("lower", "upper"), default="lower",
                        help="neighbour an interior lane transitions to")
     p_sim.add_argument("--out", default=None, help="report path (default: stdout)")
@@ -237,22 +228,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample = sub.add_parser("sample", help="synthesize a vehicle CSV from a census row")
     p_sample.add_argument("--census", default=None, help="census CSV (default: bundled token samples)")
     p_sample.add_argument("--row", default="1", help="row name or 1-based index (default: 1)")
-    p_sample.add_argument("--n", type=int, required=True, help="target sample size")
-    p_sample.add_argument("--seed", type=int, default=None, help="synthesis seed (default: config file, else 0)")
+    p_sample.add_argument("--n", type=_count_flag, required=True, help="target sample size")
+    p_sample.add_argument("--seed", type=_number_flag(check_base_seed), default=None,
+                          help="synthesis seed (default: config file, else 0)")
     p_sample.add_argument("--config", default=None, help="flat key-value config file")
     p_sample.add_argument("--out", default=None, help="vehicle CSV path (default: stdout)")
     p_sample.set_defaults(func=_cmd_sample)
 
     p_stats = sub.add_parser("stats", help="expectation and dispersion for a counts file")
     p_stats.add_argument("--counts", required=True, help="counts CSV: label header + one count row")
-    p_stats.add_argument("--n", type=int, required=True, help="sample size for the expectation")
+    p_stats.add_argument("--n", type=_count_flag, required=True, help="sample size for the expectation")
     p_stats.add_argument("--out", default=None, help="JSON path (default: stdout)")
     p_stats.set_defaults(func=_cmd_stats)
 
     p_cmp = sub.add_parser("compare", help="ensemble comparison of both planners")
-    p_cmp.add_argument("--sizes", default=None, help="comma-separated sample sizes (default: 20,25,30,40,50)")
-    p_cmp.add_argument("--runs", type=int, default=None, help="runs per size (default: 100)")
-    p_cmp.add_argument("--base-seed", type=int, default=None, help="ensemble base seed (default: 0)")
+    p_cmp.add_argument("--sizes", type=_number_flag(check_sample_sizes, listed=True), default=None,
+                       help="comma-separated sample sizes (default: 20,25,30,40,50)")
+    p_cmp.add_argument("--runs", type=_number_flag(check_runs_per_size), default=None,
+                       help="runs per size (default: 100)")
+    p_cmp.add_argument("--base-seed", type=_number_flag(check_base_seed), default=None,
+                       help="ensemble base seed (default: 0)")
     p_cmp.add_argument("--mode", choices=("event", "literal"), default=None)
     p_cmp.add_argument("--census", default=None, help="census CSV (default: bundled token samples)")
     p_cmp.add_argument("--row", default="1", help="source row name or 1-based index (default: 1)")

@@ -19,6 +19,7 @@ import enum
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
+from typing import NamedTuple
 
 from .errors import EmptyStream, ParseError, SpeedOutOfModel
 
@@ -95,35 +96,19 @@ class LanePlan:
     assignment: dict[str, int]        # vehicle id -> lane index
     lane_class: dict[int, SpeedClass]  # lane index -> class
 
-    def __post_init__(self) -> None:
-        if self.lane_count < 1:
-            raise ValueError("a lane plan holds at least one lane")
-        if sorted(self.lane_class) != list(range(1, self.lane_count + 1)):
-            raise ValueError("lanes must be numbered 1..lane_count consecutively")
-        if len(set(self.lane_class.values())) != self.lane_count:
-            raise ValueError("one lane per distinct speed class")
-        for vid, lane in self.assignment.items():
-            if lane not in self.lane_class:
-                raise ValueError(f"vehicle {vid!r} assigned to unknown lane {lane}")
 
+class TransitionEvent(NamedTuple):
+    """One predicted lane transition caused by an overtaking pair.
 
-@dataclass(frozen=True)
-class TransitionEvent:
-    """One predicted lane transition caused by an overtaking pair."""
+    Made only by part1.count_transitions, which keeps the two lanes adjacent
+    and inside the plan and catch_up_ticks at least 1.
+    """
 
     overtaker_id: str
     overtaken_id: str
     from_lane: int
     to_lane: int
     catch_up_ticks: int
-
-    def __post_init__(self) -> None:
-        if self.from_lane == self.to_lane:
-            raise ValueError("a transition must change lanes")
-        if self.from_lane < 1 or self.to_lane < 1:
-            raise ValueError("lane indices are 1-based")
-        if self.catch_up_ticks < 1:
-            raise ValueError("catch-up takes at least one tick")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, NoReturn
 
 from .domain import LanePlan, SimulationReport, Speed, TransitionEvent, VehicleRecord
-from .errors import EmptyStream, NoAdjacentLane, PlanHasNoAdjacentLane
+from .errors import EmptyStream, PlanHasNoAdjacentLane
 from .kinematics import common_scale, transition_target
 
 COUNTING_MODES = ("event", "literal")
@@ -118,10 +118,7 @@ def count_transitions(
     for slow, fast, lane in pairings:
         target = targets.get(lane)
         if target is None:
-            try:
-                target = targets[lane] = transition_target(lane, lane_count, interior)
-            except NoAdjacentLane as err:  # defensive: guarded above
-                raise PlanHasNoAdjacentLane(str(err)) from err
+            target = targets[lane] = transition_target(lane, lane_count, interior)
         s = scaled[slow.speed]
         head, gain = fast.arrival - slow.arrival, scaled[fast.speed] - s
         if head < 0 or gain <= 0:

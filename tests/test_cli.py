@@ -379,3 +379,57 @@ def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "simulate" in out and "compare" in out
+
+
+# (command line with {} for the flag's value), keyed "<command> <flag>"
+NUMBER_FLAGS = {
+    "sample --n": ("sample", "--n", "{}"),
+    "sample --seed": ("sample", "--n", "20", "--seed", "{}"),
+    "sample --row": ("sample", "--n", "20", "--row", "{}"),
+    "stats --n": ("stats", "--counts", "{counts}", "--n", "{}"),
+    "compare --sizes": ("compare", "--sizes", "{},25"),
+    "compare --runs": ("compare", "--runs", "{}"),
+    "compare --base-seed": ("compare", "--base-seed", "{}"),
+    "simulate --budget": ("simulate", "--algo", "part2", "--input", "{three}", "--budget", "{}"),
+}
+OUT_OF_RANGE = [("sample --n", "0"), ("stats --n", "0"), ("simulate --budget", "0"),
+                ("sample --seed", "-1")]
+
+
+@pytest.mark.parametrize("flag, value", [
+    *((flag, text) for flag in NUMBER_FLAGS for text in ("2_0", "\u0663", "+5", "1e1")),
+    *OUT_OF_RANGE,
+], ids=str)
+def test_number_flags_take_the_file_grammar_and_fail_as_usage(capsys, tmp_path, three_vehicles,
+                                                              no_ensemble, flag, value):
+    counts = tmp_path / "counts.csv"
+    counts.write_text("Cars,Buses\n2,1\n", encoding="utf-8")
+    argv = [arg.format(value, three=three_vehicles, counts=counts) for arg in NUMBER_FLAGS[flag]]
+    out = tmp_path / "out"
+    out_flag = "--out-dir" if argv[0] == "compare" else "--out"
+    code, stdout, err = run(capsys, *argv, out_flag, str(out))
+    assert code == EXIT_USAGE, err
+    assert flag.split()[1] in err
+    assert stdout == ""
+    assert not out.exists()
+
+
+# the flag's command and a file that is not UTF-8 text
+UNDECODABLE = {
+    "--input": (("simulate", "--algo", "part1"), b"id,speed,arrival\nv1,3\xff5,0\n"),
+    "--census": (("sample", "--n", "5"), b"city,Cars,Buses\nT\xffwn,2,3\n"),
+    "--counts": (("stats", "--n", "5"), b"Cars,Buses\n2,3\xff\n"),
+    "--config": (("sample", "--n", "5"), b"# caf\xe9\nseed = 1\n"),
+}
+
+
+@pytest.mark.parametrize("flag", UNDECODABLE)
+def test_undecodable_input_is_malformed_naming_the_path(capsys, tmp_path, flag):
+    command, data = UNDECODABLE[flag]
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, *command, flag, str(path), "--out", str(out))
+    assert code == EXIT_PARSE, err
+    assert str(path) in err and "UTF-8" in err
+    assert stdout == "" and not out.exists()

@@ -5,7 +5,9 @@ mixed speeds, integer speeds beside their float twins (35 and 35.0), equal
 arrivals and arrivals out of input order, lane budgets 1-7, both counting
 modes and both interior preferences.  Reports must render to the same bytes,
 knowledge bases must hold the same lanes and assignment, and failures must
-raise the same exception with the same message.
+raise the same exception with the same message.  Transition events and lane
+plans carry no checks of their own, so their invariants are asserted here on
+every report and plan the corpus produces.
 """
 
 from __future__ import annotations
@@ -72,19 +74,45 @@ def rendered(result):
     return (kind, render_report(value)) if kind == "ok" else result
 
 
+def check_events(result, where):
+    """The invariants count_transitions keeps for every event it makes."""
+    kind, report = result
+    if kind != "ok":
+        return
+    for event in report.events:
+        assert abs(event.from_lane - event.to_lane) == 1, (where, event)
+        assert 1 <= event.from_lane <= report.lane_count, (where, event)
+        assert 1 <= event.to_lane <= report.lane_count, (where, event)
+        assert event.catch_up_ticks >= 1, (where, event)
+
+
+def check_plan(vehicles, seed):
+    """build_lane_plan numbers lanes 1..lane_count, one speed class each."""
+    kind, plan = outcome(part1.build_lane_plan, vehicles)
+    if kind != "ok":
+        return
+    assert sorted(plan.lane_class) == list(range(1, plan.lane_count + 1)), seed
+    assert len(set(plan.lane_class.values())) == plan.lane_count, seed
+    for v in vehicles:
+        assert plan.lane_class[plan.assignment[v.id]] == v.speed_class, (seed, v)
+
+
 def test_reports_match_the_reference():
     for seed in range(STREAMS):
         vehicles = corpus_stream(seed)
         budget = 1 + seed % 7
+        check_plan(vehicles, seed)
         # the interior preference only shapes events; literal mode takes one per stream
         literal = ("literal", ("lower", "upper")[seed % 2])
         for mode, interior in (("event", "lower"), ("event", "upper"), literal):
             args = (vehicles, mode, interior)
-            assert rendered(outcome(part1.simulate_part1, *args)) == rendered(
-                outcome(ref.simulate_part1, *args)
-            ), (seed, mode, interior)
+            got = outcome(part1.simulate_part1, *args)
+            check_events(got, (seed, mode, interior))
+            assert rendered(got) == rendered(outcome(ref.simulate_part1, *args)), (seed, mode, interior)
             args = (vehicles, budget, mode, interior)
-            assert rendered(outcome(part2.simulate_part2, *args)) == rendered(
+            got = outcome(part2.simulate_part2, *args)
+            check_events(got, (seed, budget, mode, interior))
+            assert rendered(got) == rendered(
                 outcome(ref.simulate_part2, *args)
             ), (seed, budget, mode, interior)
 

@@ -82,16 +82,6 @@ def test_vehicle_record_validation():
         VehicleRecord(id="x", speed=30, arrival=True)
 
 
-def test_transition_event_validation():
-    TransitionEvent(overtaker_id="a", overtaken_id="b", from_lane=1, to_lane=2, catch_up_ticks=1)
-    with pytest.raises(ValueError):
-        TransitionEvent(overtaker_id="a", overtaken_id="b", from_lane=2, to_lane=2, catch_up_ticks=1)
-    with pytest.raises(ValueError):
-        TransitionEvent(overtaker_id="a", overtaken_id="b", from_lane=0, to_lane=1, catch_up_ticks=1)
-    with pytest.raises(ValueError):
-        TransitionEvent(overtaker_id="a", overtaken_id="b", from_lane=1, to_lane=2, catch_up_ticks=0)
-
-
 def test_report_event_mode_count_must_match_events():
     event = TransitionEvent(
         overtaker_id="a", overtaken_id="b", from_lane=1, to_lane=2, catch_up_ticks=1
