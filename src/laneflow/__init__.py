@@ -26,7 +26,7 @@ from .errors import (
     RowUnusable,
     SpeedOutOfModel,
 )
-from .kinematics import OvertakePair, catch_up_ticks, literal_overtake_count, transition_target
+from .kinematics import transition_target
 from .part1 import (
     OvertakePairing,
     build_lane_plan,
@@ -59,7 +59,6 @@ __all__ = [
     "InvalidSampleSize",
     "LaneflowError",
     "NoAdjacentLane",
-    "OvertakePair",
     "OvertakePairing",
     "ParseError",
     "PlanHasNoAdjacentLane",
@@ -75,14 +74,12 @@ __all__ = [
     "budget_from_part1",
     "build_lane_plan",
     "canonical_json",
-    "catch_up_ticks",
     "class_count_sd",
     "classify_speed",
     "combine_seed",
     "count_transitions",
     "enumerate_overtake_pairs",
     "linear_trend",
-    "literal_overtake_count",
     "parse_census",
     "parse_config_text",
     "parse_counts_file",

@@ -28,7 +28,6 @@ from pathlib import Path
 from .census import parse_census, parse_counts_file
 from .compare import (
     EnsembleSpec,
-    check_base_seed,
     check_runs_per_size,
     check_sample_sizes,
     run_compare,
@@ -64,8 +63,11 @@ def _file_failure(verb: str, path: str, err: OSError) -> FileFailure:
 
 
 def _read_file(path: str) -> str:
+    """The text of an input file, less one leading UTF-8 byte-order mark, as
+    spreadsheet tools write it.  Decoding keeps the mark, so the offset of an
+    undecodable byte is an offset into the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as err:
         raise _file_failure("read", path, err) from err
     except UnicodeDecodeError as err:
@@ -127,6 +129,12 @@ def _number_flag(check, listed: bool = False):
 def _at_least_one(value: int) -> int:
     if value < 1:
         raise ValueError("must be at least 1")
+    return value
+
+
+def _u64(value: int) -> int:
+    if not 0 <= value < 1 << 64:
+        raise ValueError("must fit in an unsigned 64-bit integer")
     return value
 
 
@@ -229,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--census", default=None, help="census CSV (default: bundled token samples)")
     p_sample.add_argument("--row", default="1", help="row name or 1-based index (default: 1)")
     p_sample.add_argument("--n", type=_count_flag, required=True, help="target sample size")
-    p_sample.add_argument("--seed", type=_number_flag(check_base_seed), default=None,
+    p_sample.add_argument("--seed", type=_number_flag(_u64), default=None,
                           help="synthesis seed (default: config file, else 0)")
     p_sample.add_argument("--config", default=None, help="flat key-value config file")
     p_sample.add_argument("--out", default=None, help="vehicle CSV path (default: stdout)")
@@ -246,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated sample sizes (default: 20,25,30,40,50)")
     p_cmp.add_argument("--runs", type=_number_flag(check_runs_per_size), default=None,
                        help="runs per size (default: 100)")
-    p_cmp.add_argument("--base-seed", type=_number_flag(check_base_seed), default=None,
+    p_cmp.add_argument("--base-seed", type=_number_flag(_u64), default=None,
                        help="ensemble base seed (default: 0)")
     p_cmp.add_argument("--mode", choices=("event", "literal"), default=None)
     p_cmp.add_argument("--census", default=None, help="census CSV (default: bundled token samples)")

@@ -48,13 +48,14 @@ class EnsembleSpec:
     def __post_init__(self) -> None:
         check_sample_sizes(self.sample_sizes)
         check_runs_per_size(self.runs_per_size)
-        check_base_seed(self.base_seed)
+        if not 0 <= self.base_seed < (1 << 64):
+            raise ConfigError("base_seed must fit in an unsigned 64-bit integer")
         if self.counting_mode not in ("event", "literal"):
             raise ConfigError("counting_mode must be 'event' or 'literal'")
 
 
-# The checks EnsembleSpec applies, one per setting, so that the CLI can apply
-# the same rule to a flag alone and report a bad flag as a usage error.
+# The size and run checks EnsembleSpec applies, as functions so that the CLI
+# can apply the same rule to a flag alone and report a bad flag as a usage error.
 
 
 def check_sample_sizes(sizes: tuple[int, ...]) -> tuple[int, ...]:
@@ -71,12 +72,6 @@ def check_runs_per_size(runs: int) -> int:
     if runs < 1:
         raise ConfigError("runs_per_size must be at least 1")
     return runs
-
-
-def check_base_seed(seed: int) -> int:
-    if not 0 <= seed < (1 << 64):
-        raise ConfigError("base_seed must fit in an unsigned 64-bit integer")
-    return seed
 
 
 @dataclass(frozen=True)
@@ -96,11 +91,6 @@ class CompareResult:
     trends: dict[str, TrendFit]
 
 
-def run_seed(base_seed: int, size_index: int, run_index: int) -> int:
-    """The documented per-run seed derivation (see rng.combine_seed)."""
-    return combine_seed(base_seed, size_index, run_index)
-
-
 def _aggregate(counts: tuple[int, ...]) -> SizeStats:
     n = len(counts)
     mean = ordered_sum(counts) / n
@@ -115,7 +105,7 @@ def run_compare(spec: EnsembleSpec) -> CompareResult:
         part1_counts: list[int] = []
         part2_counts: list[int] = []
         for run_index in range(spec.runs_per_size):
-            seed = run_seed(spec.base_seed, size_index, run_index)
+            seed = combine_seed(spec.base_seed, size_index, run_index)
             stream = synthesize_stream(scaled, spec.synth.with_seed(seed))
             part1_counts.append(simulate_part1(stream, spec.counting_mode).transition_count)
             budget = budget_from_part1(stream)

@@ -1,38 +1,31 @@
-"""Catch-up arithmetic for one overtaking pair on a shared lane.
+"""Exact speeds, the common integer speed scale and the lane a transition targets.
 
-A slow vehicle enters first and a faster one follows ``head_start`` ticks
-later.  Measuring tick t1 = 1, 2, ... from the fast vehicle's entry, the two
-distances are
+A slow vehicle enters a lane first and a faster one follows ``head`` ticks
+later.  Measuring tick t = 1, 2, ... from the fast vehicle's entry, the slow
+one has covered slow * (head + t) and the fast one fast * t.  With
+gain = fast - slow > 0, the follower first draws level with or passes the
+leader at
 
-    d_slow(t1) = slow_speed * (head_start + t1)
-    d_fast(t1) = fast_speed * t1
+    catch-up tick = max(1, ceil(slow * head / gain))
 
-catch_up_ticks is the first tick where the fast vehicle has drawn level or
-ahead (d_fast >= d_slow); because speeds differ strictly this is
-
-    max(1, ceil(slow_speed * head_start / (fast_speed - slow_speed)))
-
-literal_overtake_count counts every tick the fast vehicle is still at or
-behind the slow one (d_fast <= d_slow), i.e. floor of the same ratio (or 0
-when that floor is not positive).  The two agree exactly when the ratio is a
-positive integer; otherwise catch_up_ticks = literal_overtake_count + 1.
+and spends floor(slow * head / gain) ticks at or behind it, which is what
+literal counting adds up per pair.  part1.count_transitions evaluates both
+on plain integers, as -(-slow * head // gain) and slow * head // gain.
 
 All arithmetic is exact: a parsed "35.3" behaves as 353/10, never as its
-binary float.  The planners go one step further and count on plain integers
-only.  common_scale maps every distinct speed of a stream to exact(speed) * L,
-where L is the least common multiple of the exact denominators (L = 1 for an
-integer stream).  Multiplying slow_speed and fast_speed by the same positive L
-leaves slow_speed * head_start / (fast_speed - slow_speed) unchanged, so its
-floor and ceiling, and with them every count above, are the same as on the
-exact speeds; a running lane average is likewise the scaled total divided by
-the population and by L.  Scaling also keeps the order of speeds, so speed
-comparisons on the scaled integers agree with comparisons on the speeds.
+binary float.  common_scale maps every distinct speed of a stream to
+exact(speed) * L, where L is the least common multiple of the exact
+denominators (L = 1 for an integer stream).  Multiplying slow and fast by the
+same positive L leaves slow * head / gain unchanged, so its floor and ceiling
+are the same on the scaled integers as on the exact speeds; a running lane
+average is likewise the scaled total divided by the population and by L.
+Scaling also keeps the order of speeds, so speed comparisons on the scaled
+integers agree with comparisons on the speeds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -57,57 +50,6 @@ def common_scale(speeds: Iterable[Speed]) -> tuple[dict[Speed, int], int]:
     exacts = {speed: exact(speed) for speed in set(speeds)}
     scale = math.lcm(1, *(q.denominator for q in exacts.values()))
     return {speed: q.numerator * (scale // q.denominator) for speed, q in exacts.items()}, scale
-
-
-@dataclass(frozen=True)
-class OvertakePair:
-    """A strictly slower leader and a faster follower on one lane."""
-
-    slow_speed: Speed
-    fast_speed: Speed
-    head_start: int  # ticks the slow vehicle was already on the lane; >= 0
-
-    def __post_init__(self) -> None:
-        if not self.slow_speed < self.fast_speed:
-            raise ValueError(
-                f"overtaking needs a strictly faster follower "
-                f"(slow={self.slow_speed}, fast={self.fast_speed})"
-            )
-        if self.head_start < 0:
-            raise ValueError("head start cannot be negative")
-
-
-def _ratio(pair: OvertakePair) -> tuple[int, int] | Fraction:
-    """slow*head/(fast-slow), as (num, den) ints when possible."""
-    if isinstance(pair.slow_speed, int) and isinstance(pair.fast_speed, int):
-        return pair.slow_speed * pair.head_start, pair.fast_speed - pair.slow_speed
-    return (
-        exact(pair.slow_speed)
-        * pair.head_start
-        / (exact(pair.fast_speed) - exact(pair.slow_speed))
-    )
-
-
-def catch_up_ticks(pair: OvertakePair) -> int:
-    """First tick (>= 1) at which the follower is level with or past the leader."""
-    r = _ratio(pair)
-    if isinstance(r, tuple):
-        num, den = r
-        ticks = -(-num // den)  # ceil for non-negative num, positive den
-    else:
-        ticks = math.ceil(r)
-    return max(1, ticks)
-
-
-def literal_overtake_count(pair: OvertakePair) -> int:
-    """Number of ticks the follower spends at or behind the leader."""
-    r = _ratio(pair)
-    if isinstance(r, tuple):
-        num, den = r
-        count = num // den
-    else:
-        count = math.floor(r)
-    return count if count >= 1 else 0
 
 
 def transition_target(from_lane: int, lane_count: int, interior: str = "lower") -> int:

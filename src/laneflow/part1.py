@@ -8,7 +8,7 @@ read two ways:
 
 * event   - one transition per pair, stamped with its catch-up tick
 * literal - per pair, every tick the follower is still at or behind the
-            leader is counted (see kinematics.literal_overtake_count)
+            leader is counted (see kinematics)
 """
 
 from __future__ import annotations

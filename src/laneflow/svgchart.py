@@ -8,6 +8,7 @@ fixed decimals, which keeps output byte-stable across runs and platforms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 WIDTH = 800
@@ -31,22 +32,16 @@ def _nice_step(span: float) -> float:
     if span <= 0:
         return 1.0
     raw = span / 5
-    magnitude = 10 ** _floor_log10(raw)
+    magnitude = 10 ** math.floor(math.log10(raw))
     for mult in (1, 2, 5, 10):
         if raw <= mult * magnitude:
             return mult * magnitude
     return 10 * magnitude
 
 
-def _floor_log10(x: float) -> int:
-    import math
-
-    return math.floor(math.log10(x)) if x > 0 else 0
-
-
 def _ticks(lo: float, hi: float) -> list[float]:
     step = _nice_step(hi - lo)
-    first = step * _floor_div(lo, step)
+    first = step * math.floor(lo / step)
     ticks = []
     t = first
     while t <= hi + step / 2:
@@ -54,12 +49,6 @@ def _ticks(lo: float, hi: float) -> list[float]:
             ticks.append(round(t, 10))
         t += step
     return ticks
-
-
-def _floor_div(x: float, step: float) -> float:
-    import math
-
-    return math.floor(x / step)
 
 
 def _fmt(x: float) -> str:

@@ -4,28 +4,81 @@ This is the earlier implementation, kept verbatim in behaviour: every
 ordered vehicle pair is tested, each qualifying pair becomes a frozen
 OvertakePairing whose kinematics() feeds the per-pair closed forms, and the
 knowledge base is an immutable fold that copies a lane's buffer on every
-vehicle.  It is slow (quadratic with large constants) and is used only by
-tests/test_differential.py, which requires the package to match it exactly.
+vehicle.  It is slow (quadratic with large constants).
+tests/test_differential.py requires the package to match it exactly, and
+tests/test_kinematics.py and acceptance check 3/8 hold its closed forms to a
+tick-by-tick walk.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from laneflow.domain import SimulationReport, TransitionEvent, VehicleRecord
+from laneflow.domain import SimulationReport, Speed, TransitionEvent, VehicleRecord
 from laneflow.errors import EmptyStream, InvalidBudget, NoAdjacentLane, PlanHasNoAdjacentLane
-from laneflow.kinematics import (
-    OvertakePair,
-    catch_up_ticks,
-    exact,
-    literal_overtake_count,
-    transition_target,
-)
+from laneflow.kinematics import exact, transition_target
 from laneflow.part1 import build_lane_plan, lane_statistics
 
 COUNTING_MODES = ("event", "literal")
+
+
+# Per-pair closed forms, on the exact speeds (see laneflow.kinematics for the
+# derivation).  The two agree exactly when the ratio is a positive integer;
+# otherwise catch_up_ticks = literal_overtake_count + 1.
+
+
+@dataclass(frozen=True)
+class OvertakePair:
+    """A strictly slower leader and a faster follower on one lane."""
+
+    slow_speed: Speed
+    fast_speed: Speed
+    head_start: int  # ticks the slow vehicle was already on the lane; >= 0
+
+    def __post_init__(self) -> None:
+        if not self.slow_speed < self.fast_speed:
+            raise ValueError(
+                f"overtaking needs a strictly faster follower "
+                f"(slow={self.slow_speed}, fast={self.fast_speed})"
+            )
+        if self.head_start < 0:
+            raise ValueError("head start cannot be negative")
+
+
+def _ratio(pair: OvertakePair) -> tuple[int, int] | Fraction:
+    """slow*head/(fast-slow), as (num, den) ints when possible."""
+    if isinstance(pair.slow_speed, int) and isinstance(pair.fast_speed, int):
+        return pair.slow_speed * pair.head_start, pair.fast_speed - pair.slow_speed
+    return (
+        exact(pair.slow_speed)
+        * pair.head_start
+        / (exact(pair.fast_speed) - exact(pair.slow_speed))
+    )
+
+
+def catch_up_ticks(pair: OvertakePair) -> int:
+    """First tick (>= 1) at which the follower is level with or past the leader."""
+    r = _ratio(pair)
+    if isinstance(r, tuple):
+        num, den = r
+        ticks = -(-num // den)  # ceil for non-negative num, positive den
+    else:
+        ticks = math.ceil(r)
+    return max(1, ticks)
+
+
+def literal_overtake_count(pair: OvertakePair) -> int:
+    """Number of ticks the follower spends at or behind the leader."""
+    r = _ratio(pair)
+    if isinstance(r, tuple):
+        num, den = r
+        count = num // den
+    else:
+        count = math.floor(r)
+    return count if count >= 1 else 0
 
 
 @dataclass(frozen=True)

@@ -18,16 +18,13 @@ import pytest
 from conftest import make_stream
 from laneflow import (
     EnsembleSpec,
-    OvertakePair,
     PlanHasNoAdjacentLane,
     SynthConfig,
     assign_stream,
     budget_from_part1,
     build_lane_plan,
-    catch_up_ticks,
     classify_speed,
     combine_seed,
-    literal_overtake_count,
     render_report,
     run_compare,
     scale_class_counts,
@@ -38,7 +35,9 @@ from laneflow import (
 )
 from laneflow.cli import EXIT_OK, main
 from laneflow.kinematics import exact
-from laneflow.refdata import load_sample_tables, load_token_samples
+from laneflow.refdata import load_token_samples
+from reference_planners import OvertakePair, catch_up_ticks, literal_overtake_count
+from test_refdata import load_sample_tables
 
 SIZES = (20, 25, 30, 40, 50)
 

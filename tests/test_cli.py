@@ -393,7 +393,9 @@ NUMBER_FLAGS = {
     "simulate --budget": ("simulate", "--algo", "part2", "--input", "{three}", "--budget", "{}"),
 }
 OUT_OF_RANGE = [("sample --n", "0"), ("stats --n", "0"), ("simulate --budget", "0"),
-                ("sample --seed", "-1")]
+                ("sample --seed", "-1"), ("compare --base-seed", "-1"),
+                ("compare --base-seed", str(1 << 64))]
+CONFIG_KEYS = ("arrival_gap_max", "runs_per_size", "base_seed", "counting_mode")
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -410,6 +412,7 @@ def test_number_flags_take_the_file_grammar_and_fail_as_usage(capsys, tmp_path, 
     code, stdout, err = run(capsys, *argv, out_flag, str(out))
     assert code == EXIT_USAGE, err
     assert flag.split()[1] in err
+    assert not any(key in err for key in CONFIG_KEYS), err  # the flag, not a config key
     assert stdout == ""
     assert not out.exists()
 
@@ -433,3 +436,34 @@ def test_undecodable_input_is_malformed_naming_the_path(capsys, tmp_path, flag):
     assert code == EXIT_PARSE, err
     assert str(path) in err and "UTF-8" in err
     assert stdout == "" and not out.exists()
+
+
+def test_undecodable_byte_is_named_by_its_file_offset(capsys, tmp_path):
+    path = tmp_path / "input.csv"
+    path.write_bytes(b"\xef\xbb\xbfab\xffc")
+    code, _, err = run(capsys, "simulate", "--algo", "part1", "--input", str(path))
+    assert code == EXIT_PARSE
+    assert "byte 5 cannot be decoded" in err
+
+
+# the flag's command and a file it reads without error
+READABLE = {
+    "--input": (("simulate", "--algo", "part1"), THREE),
+    "--census": (("sample", "--n", "5"), "Town,Cars,Buses\nT1,2,3\n"),
+    "--counts": (("stats", "--n", "5"), "Cars,Buses\n2,3\n"),
+    "--config": (("sample", "--n", "5"), "seed = 1\n"),
+}
+
+
+@pytest.mark.parametrize("flag", READABLE)
+def test_a_leading_byte_order_mark_is_dropped(capsys, tmp_path, flag):
+    command, text = READABLE[flag]
+    outputs = []
+    for name, data in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())):
+        path = tmp_path / f"{name}.txt"
+        path.write_bytes(data)
+        out = tmp_path / f"{name}.out"
+        code, _, err = run(capsys, *command, flag, str(path), "--out", str(out))
+        assert code == EXIT_OK, (name, err)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

@@ -8,8 +8,16 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from laneflow import ClassCountVector, ConfigError, EnsembleSpec, SynthConfig, run_compare, write_outputs
-from laneflow.compare import CSV_HEADER, render_csv, render_summary_json, run_seed
+from laneflow import (
+    ClassCountVector,
+    ConfigError,
+    EnsembleSpec,
+    SynthConfig,
+    combine_seed,
+    run_compare,
+    write_outputs,
+)
+from laneflow.compare import CSV_HEADER, render_csv, render_summary_json
 
 from conftest import fail_write_number
 
@@ -48,7 +56,7 @@ def test_spec_validation():
 
 
 def test_run_seeds_are_distinct_per_coordinate():
-    seeds = {run_seed(0, s, r) for s in range(5) for r in range(100)}
+    seeds = {combine_seed(0, s, r) for s in range(5) for r in range(100)}
     assert len(seeds) == 500
 
 

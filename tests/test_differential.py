@@ -7,7 +7,9 @@ modes and both interior preferences.  Reports must render to the same bytes,
 knowledge bases must hold the same lanes and assignment, and failures must
 raise the same exception with the same message.  Transition events and lane
 plans carry no checks of their own, so their invariants are asserted here on
-every report and plan the corpus produces.
+every report and plan the corpus produces.  The counting kernel is also held
+to the oracle's per-pair closed forms on every integer pair of the grid that
+acceptance check 3/8 walks, and on decimal speeds.
 """
 
 from __future__ import annotations
@@ -148,3 +150,46 @@ def test_bad_budgets_fail_like_the_reference():
             ref.assign_stream, vehicles, budget
         )
     assert outcome(part2.assign_stream, [], 2) == outcome(ref.assign_stream, [], 2)
+
+
+
+def lane_one_pairings(triples):
+    """(slow, fast, head) triples as overtaking pairs on lane 1 of a two-lane plan."""
+    slow = {s: VehicleRecord(f"s{s}", s, 0) for s, _, _ in triples}
+    fast = {(f, h): VehicleRecord(f"f{f}@{h}", f, h) for _, f, h in triples}
+    return [part1.OvertakePairing(slow[s], fast[f, h], 1) for s, f, h in triples]
+
+
+def check_kernel_against_closed_forms(triples):
+    """Event ticks from one call over all pairs (one common speed scale), and
+    the literal count of each pair from a call of its own."""
+    pairings = lane_one_pairings(triples)
+    _, events = part1.count_transitions(pairings, 2, "event")
+    for (s, f, h), pairing, event in zip(triples, pairings, events, strict=True):
+        pair = ref.OvertakePair(s, f, h)
+        assert event.catch_up_ticks == ref.catch_up_ticks(pair), (s, f, h)
+        literal, _ = part1.count_transitions([pairing], 2, "literal")
+        assert literal == ref.literal_overtake_count(pair), (s, f, h)
+
+
+def test_kernel_matches_the_closed_forms_on_the_full_grid():
+    # the (slow, fast, head) grid on which acceptance check 3/8 holds the
+    # closed forms to the tick loop
+    grid = [(s, f, h) for f in range(2, 101) for s in range(1, f) for h in range(51)]
+    assert len(grid) == 252_450
+    check_kernel_against_closed_forms(grid)
+
+
+def test_kernel_matches_the_closed_forms_on_decimal_speeds():
+    rng = random.Random(353)
+    speeds = [35, 35.3, 35.5, 45.5, 0.3, 0.4, 1.25, 99.99, 100]
+    speeds += [rng.randint(1, 1009) / 10 for _ in range(20)]
+    speeds += [rng.randint(1, 10099) / 100 for _ in range(20)]
+    # a tenth of a km/h apart, and the decimal meets 0.3 / (0.4 - 0.3) = 3
+    # and 35.5 / (45.5 - 35.5) that binary floats get wrong
+    triples = [(35, 35.3, h) for h in range(51)] + [(0.3, 0.4, 1), (35.5, 45.5, 1)]
+    for _ in range(3000):
+        slow, fast = sorted(rng.sample(speeds, 2))
+        if slow < fast:
+            triples.append((slow, fast, rng.randint(0, 50)))
+    check_kernel_against_closed_forms(triples)

@@ -2,13 +2,16 @@
 
 Each case makes a few SplitMix64-driven byte edits (delete, insert, overwrite
 with a byte from ALPHABET) to one of four inputs: a `sample` output, the
-bundled census, a counts file and a config file.  The matching command then
-runs through cli.main with small sizes.  Every return code must be one the
-CLI documents, no exception may escape, and a failed run leaves no output.
+bundled census, a counts file and a config file.  Every third case edits the
+input behind a UTF-8 byte-order mark, as spreadsheet tools save it.  The
+matching command then runs through cli.main with small sizes.  Every return
+code must be one the CLI documents, no exception may escape, and a failed run
+leaves no output.
 """
 
 from __future__ import annotations
 
+import codecs
 from pathlib import Path
 
 import pytest
@@ -71,7 +74,8 @@ def test_mutated_inputs_end_in_documented_exit_codes(capsys, tmp_path, kind):
     failures = []
     for case in range(CASES):
         rng = SplitMix64(combine_seed(2012, list(COMMANDS).index(kind), case))
-        path.write_bytes(mutate(data, rng))
+        seed = data if case % 3 else codecs.BOM_UTF8 + data
+        path.write_bytes(mutate(seed, rng))
         command = COMMANDS[kind][case % len(COMMANDS[kind])]
         out = tmp_path / f"out{case}"
         out_flag = "--out-dir" if command[0] == "compare" else "--out"

@@ -2,15 +2,59 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
-from laneflow import parse_census, size_biased_expectation
+from laneflow import ClassCountVector, parse_census, size_biased_expectation
 from laneflow.errors import RowUnusable
-from laneflow.refdata import SAMPLE_LABELS, load_sample_tables, load_token_samples
+from laneflow.refdata import load_token_samples
 
 DATA = Path(__file__).with_name("data")
+
+SAMPLE_LABELS = ("Cars", "Motor Cycle", "LCV", "Buses", "Trucks", "Vehicles", "Rickshaw")
+
+
+@dataclass(frozen=True)
+class SampleTableRow:
+    """One row of the downscaled reference tables."""
+
+    sample_size: int
+    row: int  # 1-based within its table
+    counts: ClassCountVector
+    expectation: float
+    reconstructed: frozenset[str]  # labels whose counts are reconstructed, not transcribed
+
+    def transcribed_cells(self) -> list[tuple[str, int]]:
+        return [
+            (label, count)
+            for label, count in zip(self.counts.labels, self.counts.counts)
+            if label not in self.reconstructed
+        ]
+
+
+def load_sample_tables() -> tuple[SampleTableRow, ...]:
+    """Downscaled sample tables with their expectation column; cells that were
+    reconstructed by scaling rather than transcribed carry their labels in the
+    last column."""
+    lines = (DATA / "sample_tables.csv").read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    labels = tuple(header[2:9])
+    rows = []
+    for line in lines[1:]:
+        cells = line.split(",")
+        rows.append(
+            SampleTableRow(
+                sample_size=int(cells[0]),
+                row=int(cells[1]),
+                counts=ClassCountVector(labels=labels, counts=tuple(int(c) for c in cells[2:9])),
+                expectation=float(cells[9]),
+                reconstructed=frozenset(cells[10].split("|")) if cells[10] else frozenset(),
+            )
+        )
+    return tuple(rows)
+
 
 
 def load_metro_registrations():
