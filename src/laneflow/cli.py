@@ -26,14 +26,8 @@ import sys
 from pathlib import Path
 
 from .census import parse_census, parse_counts_file
-from .compare import (
-    EnsembleSpec,
-    check_runs_per_size,
-    check_sample_sizes,
-    run_compare,
-    write_outputs,
-)
-from .config import FileConfig, parse_config_text
+from .compare import EnsembleSpec, run_compare, write_outputs
+from .config import FileConfig, check_at_least_one, check_sample_sizes, check_u64, parse_config_text
 from .domain import parse_number, parse_vehicle_file, render_vehicle_file
 from .errors import ConfigError, DegenerateDistribution, LaneflowError, ParseError
 from .part1 import simulate_part1
@@ -120,25 +114,13 @@ def _number_flag(check, listed: bool = False):
             if listed:
                 return check(tuple(parse_number(part.strip()) for part in text.split(",")))
             return check(parse_number(text))
-        except (ValueError, ConfigError) as err:
+        except ValueError as err:
             raise argparse.ArgumentTypeError(str(err)) from None
 
     return convert
 
 
-def _at_least_one(value: int) -> int:
-    if value < 1:
-        raise ValueError("must be at least 1")
-    return value
-
-
-def _u64(value: int) -> int:
-    if not 0 <= value < 1 << 64:
-        raise ValueError("must fit in an unsigned 64-bit integer")
-    return value
-
-
-_count_flag = _number_flag(_at_least_one)
+_count_flag = _number_flag(check_at_least_one)
 
 
 def _budget_flag(text: str) -> int | str:
@@ -237,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--census", default=None, help="census CSV (default: bundled token samples)")
     p_sample.add_argument("--row", default="1", help="row name or 1-based index (default: 1)")
     p_sample.add_argument("--n", type=_count_flag, required=True, help="target sample size")
-    p_sample.add_argument("--seed", type=_number_flag(_u64), default=None,
+    p_sample.add_argument("--seed", type=_number_flag(check_u64), default=None,
                           help="synthesis seed (default: config file, else 0)")
     p_sample.add_argument("--config", default=None, help="flat key-value config file")
     p_sample.add_argument("--out", default=None, help="vehicle CSV path (default: stdout)")
@@ -252,9 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="ensemble comparison of both planners")
     p_cmp.add_argument("--sizes", type=_number_flag(check_sample_sizes, listed=True), default=None,
                        help="comma-separated sample sizes (default: 20,25,30,40,50)")
-    p_cmp.add_argument("--runs", type=_number_flag(check_runs_per_size), default=None,
+    p_cmp.add_argument("--runs", type=_count_flag, default=None,
                        help="runs per size (default: 100)")
-    p_cmp.add_argument("--base-seed", type=_number_flag(_u64), default=None,
+    p_cmp.add_argument("--base-seed", type=_number_flag(check_u64), default=None,
                        help="ensemble base seed (default: 0)")
     p_cmp.add_argument("--mode", choices=("event", "literal"), default=None)
     p_cmp.add_argument("--census", default=None, help="census CSV (default: bundled token samples)")

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from .config import check_at_least_one, check_sample_sizes, check_setting, check_u64
 from .errors import ConfigError
 from .part1 import simulate_part1
 from .part2 import budget_from_part1, simulate_part2
@@ -46,32 +47,11 @@ class EnsembleSpec:
     synth: SynthConfig
 
     def __post_init__(self) -> None:
-        check_sample_sizes(self.sample_sizes)
-        check_runs_per_size(self.runs_per_size)
-        if not 0 <= self.base_seed < (1 << 64):
-            raise ConfigError("base_seed must fit in an unsigned 64-bit integer")
+        check_setting("sample sizes", check_sample_sizes, self.sample_sizes)
+        check_setting("runs_per_size", check_at_least_one, self.runs_per_size)
+        check_setting("base_seed", check_u64, self.base_seed)
         if self.counting_mode not in ("event", "literal"):
             raise ConfigError("counting_mode must be 'event' or 'literal'")
-
-
-# The size and run checks EnsembleSpec applies, as functions so that the CLI
-# can apply the same rule to a flag alone and report a bad flag as a usage error.
-
-
-def check_sample_sizes(sizes: tuple[int, ...]) -> tuple[int, ...]:
-    if len(sizes) < 2:
-        raise ConfigError("at least two sample sizes are required: a trend needs two points")
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ConfigError("sample sizes must be strictly increasing")
-    if any(s < 1 for s in sizes):
-        raise ConfigError("sample sizes must be positive")
-    return sizes
-
-
-def check_runs_per_size(runs: int) -> int:
-    if runs < 1:
-        raise ConfigError("runs_per_size must be at least 1")
-    return runs
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,61 @@ no nesting, no sections.  Recognized keys:
     counting_mode       = event | literal
 
 Unknown keys are rejected rather than ignored, so typos surface immediately.
+A value that breaks its setting's rule is rejected with its line number.
+
+The rules themselves live here too, once each, and raise ValueError with a
+message that names no setting; whoever reads the value names it: a config
+line, a CLI flag, or a SynthConfig or EnsembleSpec field (check_setting).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 from .domain import parse_number
 from .errors import ConfigError
+
+T = TypeVar("T")
+
+
+def check_u64(value: int) -> int:
+    """The rule for seeds."""
+    if not isinstance(value, int) or not 0 <= value < 1 << 64:
+        raise ValueError("must fit in an unsigned 64-bit integer")
+    return value
+
+
+def check_at_least_one(value: int) -> int:
+    """The rule for counts: sample sizes, runs, budgets, arrival gaps."""
+    if not isinstance(value, int) or value < 1:
+        raise ValueError("must be an integer of at least 1")
+    return value
+
+
+def check_sample_sizes(sizes: tuple[int, ...]) -> tuple[int, ...]:
+    if len(sizes) < 2:
+        raise ValueError("must hold at least two sizes: a trend needs two points")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("must be strictly increasing")
+    if any(s < 1 for s in sizes):
+        raise ValueError("must be positive")
+    return sizes
+
+
+def check_speed_range(bounds: tuple[int, int]) -> tuple[int, int]:
+    lo, hi = bounds
+    if not 1 <= lo <= hi <= 100:
+        raise ValueError(f"must satisfy 1 <= lo <= hi <= 100, got {lo}-{hi}")
+    return bounds
+
+
+def check_setting(name: str, check: Callable[[T], T], value: T) -> T:
+    """value, if check accepts it; else a ConfigError that starts with name."""
+    try:
+        return check(value)
+    except ValueError as err:
+        raise ConfigError(f"{name} {err}") from None
 
 
 @dataclass
@@ -33,6 +80,15 @@ class FileConfig:
     runs_per_size: int | None = None
     base_seed: int | None = None
     counting_mode: str | None = None
+
+
+# keys that take one integer, each named as its FileConfig field, and their rules
+_INTEGER_KEYS = {
+    "arrival_gap_max": check_at_least_one,
+    "seed": check_u64,
+    "runs_per_size": check_at_least_one,
+    "base_seed": check_u64,
+}
 
 
 def _parse_int(value: str, key: str, lineno: int) -> int:
@@ -71,17 +127,14 @@ def parse_config_text(text: str) -> FileConfig:
             label = key[len("speed."):].strip()
             if not label:
                 raise ConfigError(f"line {lineno}: speed range needs a class label")
-            cfg.speed_ranges[label] = _parse_range(value, key, lineno)
-        elif key == "arrival_gap_max":
-            cfg.arrival_gap_max = _parse_int(value, key, lineno)
-        elif key == "seed":
-            cfg.seed = _parse_int(value, key, lineno)
+            bounds = _parse_range(value, key, lineno)
+            cfg.speed_ranges[label] = check_setting(f"line {lineno}: {key}", check_speed_range, bounds)
+        elif key in _INTEGER_KEYS:
+            number = _parse_int(value, key, lineno)
+            setattr(cfg, key, check_setting(f"line {lineno}: {key}", _INTEGER_KEYS[key], number))
         elif key == "sizes":
-            cfg.sizes = tuple(_parse_int(p.strip(), key, lineno) for p in value.split(","))
-        elif key == "runs_per_size":
-            cfg.runs_per_size = _parse_int(value, key, lineno)
-        elif key == "base_seed":
-            cfg.base_seed = _parse_int(value, key, lineno)
+            sizes = tuple(_parse_int(p.strip(), key, lineno) for p in value.split(","))
+            cfg.sizes = check_setting(f"line {lineno}: {key}", check_sample_sizes, sizes)
         elif key == "counting_mode":
             if value not in ("event", "literal"):
                 raise ConfigError(f"line {lineno}: counting_mode must be 'event' or 'literal'")

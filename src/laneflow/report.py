@@ -14,37 +14,64 @@ import secrets
 from pathlib import Path
 from typing import Any
 
-from .domain import SimulationReport, TransitionEvent
+from .domain import SimulationReport
 
 
-def event_to_dict(event: TransitionEvent) -> dict[str, Any]:
-    return {
-        "overtakerId": event.overtaker_id,
-        "overtakenId": event.overtaken_id,
-        "fromLane": event.from_lane,
-        "toLane": event.to_lane,
-        "catchUpTicks": event.catch_up_ticks,
-    }
-
-
-def report_to_dict(report: SimulationReport) -> dict[str, Any]:
+def _report_fields(report: SimulationReport, events: list[dict[str, Any]]) -> dict[str, Any]:
     return {
         "algorithm": report.algorithm,
         "countingMode": report.counting_mode,
         "laneCount": report.lane_count,
         "transitionCount": report.transition_count,
-        "events": [event_to_dict(e) for e in report.events],
+        "events": events,
         "laneAverageSpeed": {str(lane): float(avg) for lane, avg in report.lane_average_speed.items()},
         "lanePopulation": {str(lane): pop for lane, pop in report.lane_population.items()},
     }
+
+
+def report_to_dict(report: SimulationReport) -> dict[str, Any]:
+    """The report as plain data; render_report must give canonical_json of it."""
+    events = [
+        {
+            "overtakerId": e.overtaker_id,
+            "overtakenId": e.overtaken_id,
+            "fromLane": e.from_lane,
+            "toLane": e.to_lane,
+            "catchUpTicks": e.catch_up_ticks,
+        }
+        for e in report.events
+    ]
+    return _report_fields(report, events)
 
 
 def canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
+class _Quoted(dict):
+    """Vehicle id -> its JSON string literal, made by json.dumps on first use."""
+
+    def __missing__(self, key: str) -> str:
+        quoted = self[key] = json.dumps(key)
+        return quoted
+
+
 def render_report(report: SimulationReport) -> str:
-    return canonical_json(report_to_dict(report))
+    """canonical_json(report_to_dict(report)), without a dict per event.
+
+    The event keys are fixed, so each event is one f-string with its keys in
+    sorted order, and each vehicle id is quoted once.  The rest of the report
+    goes through canonical_json with an empty event list, and the joined
+    events take that list's place.
+    """
+    left, _, right = canonical_json(_report_fields(report, [])).partition('"events":[]')
+    q = _Quoted()
+    events = ",".join([
+        f'{{"catchUpTicks":{ticks},"fromLane":{from_lane},"overtakenId":{q[overtaken]},'
+        f'"overtakerId":{q[overtaker]},"toLane":{to_lane}}}'
+        for overtaker, overtaken, from_lane, to_lane, ticks in report.events
+    ])
+    return f'{left}"events":[{events}]{right}'
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .config import check_at_least_one, check_setting, check_speed_range, check_u64
 from .domain import VehicleRecord
 from .errors import ConfigError
 from .rng import SplitMix64
@@ -52,15 +53,10 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for label, (lo, hi) in self.class_speed_range.items():
-            if not (1 <= lo <= hi <= 100):
-                raise ConfigError(
-                    f"speed range for {label!r} must satisfy 1 <= lo <= hi <= 100, got {lo}-{hi}"
-                )
-        if not isinstance(self.arrival_gap_max, int) or self.arrival_gap_max < 1:
-            raise ConfigError("arrival_gap_max must be a positive integer")
-        if not 0 <= self.seed < (1 << 64):
-            raise ConfigError("seed must fit in an unsigned 64-bit integer")
+        for label, bounds in self.class_speed_range.items():
+            check_setting(f"speed range for {label!r}", check_speed_range, bounds)
+        check_setting("arrival_gap_max", check_at_least_one, self.arrival_gap_max)
+        check_setting("seed", check_u64, self.seed)
 
     def with_seed(self, seed: int) -> "SynthConfig":
         return SynthConfig(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from laneflow import ConfigError, parse_config_text
+from laneflow.cli import EXIT_PARSE, main
 
 FULL = """
 # synthesis
@@ -78,3 +79,46 @@ def test_bad_values_name_their_line():
         parse_config_text("speed. = 10-20\n")
     with pytest.raises(ConfigError):
         parse_config_text("sizes = 20,fast\n")
+
+
+# A value outside its setting's rule is refused where the file is read, with
+# its line, by a subcommand that reads the key.
+OUT_OF_RULE = [
+    ("seed = -1", "sample --n 20", "seed must fit in an unsigned 64-bit integer"),
+    ("base_seed = 18446744073709551616", "compare", "base_seed must fit in an unsigned 64-bit integer"),
+    ("runs_per_size = 0", "compare", "runs_per_size must be an integer of at least 1"),
+    ("arrival_gap_max = 0", "sample --n 20", "arrival_gap_max must be an integer of at least 1"),
+]
+
+
+@pytest.mark.parametrize("line, command, message", OUT_OF_RULE)
+def test_values_out_of_rule_exit_4_naming_their_line(capsys, monkeypatch, tmp_path, line, command, message):
+    monkeypatch.chdir(tmp_path)  # compare would write into the working directory
+    (tmp_path / "run.conf").write_text(line + "\n", encoding="utf-8")
+    assert main([*command.split(), "--config", "run.conf"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.err == f"laneflow: line 1: {message}\n"
+    assert captured.out == ""
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["run.conf"]
+
+
+def test_rules_name_the_line_of_every_checked_key():
+    for text, message in [
+        ("\nseed = 18446744073709551616\n", "line 2: seed must fit"),
+        ("base_seed = -1\n", "line 1: base_seed must fit"),
+        ("# sizes\nsizes = 30, 20\n", "line 2: sizes must be strictly increasing"),
+        ("sizes = 5\n", "line 1: sizes must hold at least two sizes"),
+        ("speed.Cars = 0-60\n", "line 1: speed.Cars must satisfy 1 <= lo <= hi <= 100, got 0-60"),
+        ("speed.Cars = 60-31\n", "line 1: speed.Cars must satisfy"),
+    ]:
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text)
+        assert str(err.value).startswith(message), text
+
+
+def test_rule_bounds_are_inclusive():
+    cfg = parse_config_text("seed = 0\nbase_seed = 18446744073709551615\nruns_per_size = 1\n"
+                            "arrival_gap_max = 1\nspeed.Cars = 1-100\n")
+    assert (cfg.seed, cfg.base_seed, cfg.runs_per_size) == (0, (1 << 64) - 1, 1)
+    assert cfg.arrival_gap_max == 1
+    assert cfg.speed_ranges == {"Cars": (1, 100)}

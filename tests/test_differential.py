@@ -9,7 +9,9 @@ raise the same exception with the same message.  Transition events and lane
 plans carry no checks of their own, so their invariants are asserted here on
 every report and plan the corpus produces.  The counting kernel is also held
 to the oracle's per-pair closed forms on every integer pair of the grid that
-acceptance check 3/8 walks, and on decimal speeds.
+acceptance check 3/8 walks, and on decimal speeds.  The report writer is held
+to its spec, canonical_json(report_to_dict(report)), on every report the
+corpus gives.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import random
 
 import reference_planners as ref
-from laneflow import VehicleRecord, render_report
+from laneflow import VehicleRecord, canonical_json, render_report, report_to_dict
 from laneflow import part1, part2
 
 STREAMS = 1000
@@ -117,6 +119,24 @@ def test_reports_match_the_reference():
             assert rendered(got) == rendered(
                 outcome(ref.simulate_part2, *args)
             ), (seed, budget, mode, interior)
+
+
+def test_writer_matches_its_spec_on_the_corpus():
+    events = 0
+    for seed in range(STREAMS):
+        vehicles = corpus_stream(seed)
+        budget = 1 + seed % 7
+        for mode in ("event", "literal"):
+            for interior in ("lower", "upper"):
+                for kind, report in (
+                    outcome(part1.simulate_part1, vehicles, mode, interior),
+                    outcome(part2.simulate_part2, vehicles, budget, mode, interior),
+                ):
+                    if kind == "ok":
+                        where = (seed, report.algorithm, mode, interior)
+                        assert render_report(report) == canonical_json(report_to_dict(report)), where
+                        events += len(report.events)
+    assert events > 10_000  # most reports carry events, not just empty lists
 
 
 def test_pairs_match_the_reference():

@@ -7,7 +7,16 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from laneflow import VehicleRecord, canonical_json, render_report, report_to_dict, simulate_part1
+from laneflow import (
+    SimulationReport,
+    TransitionEvent,
+    VehicleRecord,
+    canonical_json,
+    render_report,
+    report_to_dict,
+    simulate_part1,
+    simulate_part2,
+)
 from laneflow.svgchart import HEIGHT, WIDTH, Series, render_line_chart
 
 
@@ -47,6 +56,42 @@ def test_report_field_names_and_lane_keys():
     assert set(payload["lanePopulation"]) == {"1", "2"}
     event = payload["events"][0]
     assert set(event) == {"overtakerId", "overtakenId", "fromLane", "toLane", "catchUpTicks"}
+
+
+def test_writer_escapes_ids_like_its_spec():
+    # a quote, a backslash, a non-ASCII letter, a line separator that JSON
+    # allows raw but ensure_ascii escapes, an inner tab and an astral character
+    ids = ['"', "\\", "\u00e9", "x\u2028y", "a\tb", "car\U0001F697"]
+    events = tuple(
+        TransitionEvent(fast, slow, 1 + i % 2, 2 - i % 2, i + 1)
+        for i, (fast, slow) in enumerate(zip(ids, ids[1:] + ids[:1]))
+    )
+    report = SimulationReport(
+        algorithm="part1", counting_mode="event", lane_count=2, transition_count=len(events),
+        events=events, lane_average_speed={1: 35.5, 2: 45}, lane_population={1: 3, 2: 3},
+    )
+    text = render_report(report)
+    assert text == canonical_json(report_to_dict(report))
+    assert text.isascii()
+    assert [e["overtakerId"] for e in json.loads(text)["events"]] == ids
+
+
+def test_writer_orders_lane_keys_as_strings():
+    vehicles = [VehicleRecord(f"v{i}", 5 * i, 20 - i) for i in range(1, 15)]
+    report = simulate_part2(vehicles, budget=12)
+    assert report.lane_count >= 10
+    text = render_report(report)
+    assert text == canonical_json(report_to_dict(report))
+    assert text.index('"10":') < text.index('"2":')
+
+
+def test_writer_renders_an_empty_event_list():
+    vehicles = [VehicleRecord("v1", 35, 0), VehicleRecord("v2", 45, 1), VehicleRecord("v3", 5, 0)]
+    report = simulate_part1(vehicles, "literal")
+    assert report.events == () and report.transition_count > 0
+    text = render_report(report)
+    assert text == canonical_json(report_to_dict(report))
+    assert '"events":[]' in text
 
 
 def test_rendered_report_round_trips_and_repeats():

@@ -96,6 +96,8 @@ def test_config_validation():
         SynthConfig(seed=-1)
     with pytest.raises(ConfigError):
         SynthConfig(seed=1 << 64)
+    with pytest.raises(ConfigError):
+        SynthConfig(seed=1.5)  # SplitMix64 would fail on it at the first draw
 
 
 def test_with_seed_changes_only_the_seed():
