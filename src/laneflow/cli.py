@@ -28,7 +28,7 @@ from pathlib import Path
 from .census import parse_census, parse_counts_file
 from .compare import EnsembleSpec, run_compare, write_outputs
 from .config import FileConfig, check_at_least_one, check_sample_sizes, check_u64, parse_config_text
-from .domain import parse_number, parse_vehicle_file, render_vehicle_file
+from .domain import ALGORITHMS, COUNTING_MODES, parse_number, parse_vehicle_file, render_vehicle_file
 from .errors import ConfigError, DegenerateDistribution, LaneflowError, ParseError
 from .part1 import simulate_part1
 from .part2 import budget_from_part1, simulate_part2
@@ -205,9 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="run one planner over a vehicle CSV")
-    p_sim.add_argument("--algo", choices=("part1", "part2"), required=True)
+    p_sim.add_argument("--algo", choices=ALGORITHMS, required=True)
     p_sim.add_argument("--input", required=True, help="vehicle CSV (id,speed,arrival)")
-    p_sim.add_argument("--mode", choices=("event", "literal"), default="event")
+    p_sim.add_argument("--mode", choices=COUNTING_MODES, default="event")
     p_sim.add_argument("--budget", type=_budget_flag, default=None,
                        help="lane budget for part2: an integer or 'auto'")
     p_sim.add_argument("--interior", choices=("lower", "upper"), default="lower",
@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="runs per size (default: 100)")
     p_cmp.add_argument("--base-seed", type=_number_flag(check_u64), default=None,
                        help="ensemble base seed (default: 0)")
-    p_cmp.add_argument("--mode", choices=("event", "literal"), default=None)
+    p_cmp.add_argument("--mode", choices=COUNTING_MODES, default=None)
     p_cmp.add_argument("--census", default=None, help="census CSV (default: bundled token samples)")
     p_cmp.add_argument("--row", default="1", help="source row name or 1-based index (default: 1)")
     p_cmp.add_argument("--config", default=None, help="flat key-value config file")

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .config import check_at_least_one, check_sample_sizes, check_setting, check_u64
-from .errors import ConfigError
+from .config import check_at_least_one, check_counting_mode, check_sample_sizes, check_setting, check_u64
+from .domain import ALGORITHMS
 from .part1 import simulate_part1
 from .part2 import budget_from_part1, simulate_part2
 from .report import canonical_json, write_text_atomic
@@ -29,8 +29,6 @@ from .rng import combine_seed
 from .stats import ClassCountVector, TrendFit, linear_trend, ordered_sum, scale_class_counts
 from .svgchart import Series, render_line_chart
 from .synth import SynthConfig, synthesize_stream
-
-ALGORITHMS = ("part1", "part2")
 
 CSV_HEADER = "sampleSize,algorithm,meanTransitions,sdTransitions,minTransitions,maxTransitions"
 
@@ -50,8 +48,7 @@ class EnsembleSpec:
         check_setting("sample sizes", check_sample_sizes, self.sample_sizes)
         check_setting("runs_per_size", check_at_least_one, self.runs_per_size)
         check_setting("base_seed", check_u64, self.base_seed)
-        if self.counting_mode not in ("event", "literal"):
-            raise ConfigError("counting_mode must be 'event' or 'literal'")
+        check_setting("counting_mode", check_counting_mode, self.counting_mode)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
-from .domain import parse_number
+from .domain import COUNTING_MODES, parse_number
 from .errors import ConfigError
 
 T = TypeVar("T")
@@ -32,16 +32,22 @@ T = TypeVar("T")
 
 def check_u64(value: int) -> int:
     """The rule for seeds."""
-    if not isinstance(value, int) or not 0 <= value < 1 << 64:
+    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < 1 << 64:
         raise ValueError("must fit in an unsigned 64-bit integer")
     return value
 
 
 def check_at_least_one(value: int) -> int:
     """The rule for counts: sample sizes, runs, budgets, arrival gaps."""
-    if not isinstance(value, int) or value < 1:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ValueError("must be an integer of at least 1")
     return value
+
+
+def check_counting_mode(mode: str) -> str:
+    if mode not in COUNTING_MODES:
+        raise ValueError("must be " + " or ".join(map(repr, COUNTING_MODES)))
+    return mode
 
 
 def check_sample_sizes(sizes: tuple[int, ...]) -> tuple[int, ...]:
@@ -136,9 +142,7 @@ def parse_config_text(text: str) -> FileConfig:
             sizes = tuple(_parse_int(p.strip(), key, lineno) for p in value.split(","))
             cfg.sizes = check_setting(f"line {lineno}: {key}", check_sample_sizes, sizes)
         elif key == "counting_mode":
-            if value not in ("event", "literal"):
-                raise ConfigError(f"line {lineno}: counting_mode must be 'event' or 'literal'")
-            cfg.counting_mode = value
+            cfg.counting_mode = check_setting(f"line {lineno}: {key}", check_counting_mode, value)
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
     return cfg

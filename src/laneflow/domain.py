@@ -1,4 +1,4 @@
-"""Core vocabulary: vehicles, speed classes, lane plans, reports.
+"""Core vocabulary: vehicles, speed classes, reports.
 
 Speeds are modeled on the open interval (0, 101) km/h and fall into five
 classes, each an open band:
@@ -24,6 +24,9 @@ from typing import NamedTuple
 from .errors import EmptyStream, ParseError, SpeedOutOfModel
 
 Speed = int | float  # km/h; int preserved when the source text is integral
+
+ALGORITHMS = ("part1", "part2")  # the speed-class and the lane-budget planner
+COUNTING_MODES = ("event", "literal")  # how part1.count_transitions reads a pair
 
 
 class SpeedClass(enum.IntEnum):
@@ -84,19 +87,6 @@ class VehicleRecord:
         return classify_speed(self.speed)
 
 
-@dataclass(frozen=True)
-class LanePlan:
-    """Outcome of speed-class lane formation.
-
-    Lanes are numbered 1..lane_count in order of first appearance of each
-    class in the input stream; one lane per distinct class.
-    """
-
-    lane_count: int
-    assignment: dict[str, int]        # vehicle id -> lane index
-    lane_class: dict[int, SpeedClass]  # lane index -> class
-
-
 class TransitionEvent(NamedTuple):
     """One predicted lane transition caused by an overtaking pair.
 
@@ -115,8 +105,8 @@ class TransitionEvent(NamedTuple):
 class SimulationReport:
     """What a planner run produced, ready for canonical serialization."""
 
-    algorithm: str       # "part1" | "part2"
-    counting_mode: str   # "event" | "literal"
+    algorithm: str       # one of ALGORITHMS
+    counting_mode: str   # one of COUNTING_MODES
     lane_count: int
     transition_count: int
     events: tuple[TransitionEvent, ...] = ()
@@ -124,9 +114,9 @@ class SimulationReport:
     lane_population: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ("part1", "part2"):
+        if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.counting_mode not in ("event", "literal"):
+        if self.counting_mode not in COUNTING_MODES:
             raise ValueError(f"unknown counting mode {self.counting_mode!r}")
         if self.transition_count < 0:
             raise ValueError("transition count is non-negative")
@@ -199,8 +189,13 @@ def parse_vehicle_file(text: str) -> list[VehicleRecord]:
 
 
 def render_vehicle_file(vehicles: list[VehicleRecord]) -> str:
+    """The id,speed,arrival CSV of vehicles; raises ValueError for an id that
+    parse_vehicle_file would read back as another id or another row."""
     lines = [",".join(VEHICLE_FILE_HEADER)]
     for v in vehicles:
+        if "," in v.id or v.id.splitlines() != [v.id] or v.id != v.id.strip():
+            raise ValueError(f"vehicle id {v.id!r} would not read back: it holds a comma, "
+                             "a line break or surrounding whitespace")
         speed = str(v.speed)
         if "e" in speed:  # e.g. 5e-05: parse_number reads positional digits only
             speed = format(Decimal(speed), "f")

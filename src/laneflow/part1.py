@@ -17,11 +17,9 @@ from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, NoReturn
 
-from .domain import LanePlan, SimulationReport, Speed, TransitionEvent, VehicleRecord
+from .domain import COUNTING_MODES, SimulationReport, Speed, TransitionEvent, VehicleRecord
 from .errors import EmptyStream, PlanHasNoAdjacentLane
 from .kinematics import common_scale, transition_target
-
-COUNTING_MODES = ("event", "literal")
 
 _PAIR_SPEEDS = attrgetter("slow.speed", "fast.speed")
 
@@ -34,23 +32,18 @@ class OvertakePairing(NamedTuple):
     lane: int
 
 
-def build_lane_plan(vehicles: list[VehicleRecord]) -> LanePlan:
-    """Assign one lane per distinct speed class, in first-appearance order."""
+def build_lane_plan(vehicles: list[VehicleRecord]) -> tuple[dict[str, int], int]:
+    """One lane per distinct speed class, numbered 1.. in first-appearance
+    order; returns (vehicle id -> lane, lane count)."""
     if not vehicles:
         raise EmptyStream("cannot plan lanes for an empty stream")
     lane_of_class: dict[int, int] = {}
-    lane_class: dict[int, int] = {}
-    assignment: dict[str, int] = {}
+    lane_of: dict[str, int] = {}
     for v in vehicles:
-        if v.id in assignment:
+        if v.id in lane_of:
             raise ValueError(f"duplicate vehicle id {v.id!r}")
-        cls = v.speed_class
-        if cls not in lane_of_class:
-            lane = len(lane_of_class) + 1
-            lane_of_class[cls] = lane
-            lane_class[lane] = cls
-        assignment[v.id] = lane_of_class[cls]
-    return LanePlan(lane_count=len(lane_class), assignment=assignment, lane_class=lane_class)
+        lane_of[v.id] = lane_of_class.setdefault(v.speed_class, len(lane_of_class) + 1)
+    return lane_of, len(lane_of_class)
 
 
 def enumerate_overtake_pairs(
@@ -156,14 +149,14 @@ def simulate_part1(
     vehicles: list[VehicleRecord], mode: str = "event", interior: str = "lower"
 ) -> SimulationReport:
     """Plan lanes by speed class and count overtaking transitions."""
-    plan = build_lane_plan(vehicles)
-    pairs = enumerate_overtake_pairs(vehicles, plan.assignment)
-    count, events = count_transitions(pairs, plan.lane_count, mode, interior)
-    averages, populations = lane_statistics(vehicles, plan.assignment, plan.lane_count)
+    lane_of, lane_count = build_lane_plan(vehicles)
+    pairs = enumerate_overtake_pairs(vehicles, lane_of)
+    count, events = count_transitions(pairs, lane_count, mode, interior)
+    averages, populations = lane_statistics(vehicles, lane_of, lane_count)
     return SimulationReport(
         algorithm="part1",
         counting_mode=mode,
-        lane_count=plan.lane_count,
+        lane_count=lane_count,
         transition_count=count,
         events=events,
         lane_average_speed=averages,

@@ -1,4 +1,5 @@
-"""Shared helpers: seeded random vehicle streams for property tests."""
+"""Shared helpers: seeded random vehicle streams for property tests, and each
+lane's speeds under a lane map."""
 
 from __future__ import annotations
 
@@ -21,6 +22,17 @@ def make_stream(seed: int, max_n: int = 200, float_share: float = 0.0) -> list[V
             VehicleRecord(id=f"v{i + 1}", speed=speed, arrival=rng.randint(0, 300))
         )
     return vehicles
+
+
+def lane_speeds(
+    vehicles: list[VehicleRecord], lane_of: dict[str, int], lane_count: int
+) -> dict[int, tuple[int | float, ...]]:
+    """Lane 1..lane_count -> its vehicles' speeds in the order the part2 fold
+    takes them: arrival order, input order on ties."""
+    speeds: dict[int, list[int | float]] = {lane: [] for lane in range(1, lane_count + 1)}
+    for v in sorted(vehicles, key=lambda v: v.arrival):
+        speeds[lane_of[v.id]].append(v.speed)
+    return {lane: tuple(held) for lane, held in speeds.items()}
 
 
 def fail_write_number(monkeypatch, failing: int) -> None:

@@ -150,14 +150,14 @@ def count_transitions(
 def simulate_part1(
     vehicles: list[VehicleRecord], mode: str = "event", interior: str = "lower"
 ) -> SimulationReport:
-    plan = build_lane_plan(vehicles)
-    pairs = enumerate_pairs(vehicles, plan.assignment)
-    count, events = count_transitions(pairs, plan.lane_count, mode, interior)
-    averages, populations = lane_statistics(vehicles, plan.assignment, plan.lane_count)
+    lane_of, lane_count = build_lane_plan(vehicles)
+    pairs = enumerate_pairs(vehicles, lane_of)
+    count, events = count_transitions(pairs, lane_count, mode, interior)
+    averages, populations = lane_statistics(vehicles, lane_of, lane_count)
     return SimulationReport(
         algorithm="part1",
         counting_mode=mode,
-        lane_count=plan.lane_count,
+        lane_count=lane_count,
         transition_count=count,
         events=events,
         lane_average_speed=averages,

@@ -49,9 +49,11 @@ def test_spec_validation():
         small_spec(sample_sizes=(12, 8))
     with pytest.raises(ConfigError):
         small_spec(runs_per_size=0)
+    with pytest.raises(ConfigError, match="runs_per_size"):
+        small_spec(runs_per_size=True)  # bool is an int subclass: True would pass as 1
     with pytest.raises(ConfigError):
         small_spec(base_seed=-1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^counting_mode must be 'event' or 'literal'$"):
         small_spec(counting_mode="guess")
 
 

@@ -71,7 +71,7 @@ def test_bad_values_name_their_line():
     with pytest.raises(ConfigError) as err:
         parse_config_text("seed = 1\narrival_gap_max = soon\n")
     assert "line 2" in str(err.value)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^line 1: counting_mode must be 'event' or 'literal'$"):
         parse_config_text("counting_mode = both\n")
     with pytest.raises(ConfigError):
         parse_config_text("speed.Cars = 10-20-30\n")

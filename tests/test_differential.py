@@ -4,10 +4,12 @@ A seeded corpus of small streams covers integer, one- and two-decimal and
 mixed speeds, integer speeds beside their float twins (35 and 35.0), equal
 arrivals and arrivals out of input order, lane budgets 1-7, both counting
 modes and both interior preferences.  Reports must render to the same bytes,
-knowledge bases must hold the same lanes and assignment, and failures must
-raise the same exception with the same message.  Transition events and lane
-plans carry no checks of their own, so their invariants are asserted here on
-every report and plan the corpus produces.  The counting kernel is also held
+part2's lane map must give the same assignment and each lane the same speeds
+as the oracle's knowledge base, and failures must raise the same exception
+with the same message.  Transition events and lane plans carry no checks of
+their own, so their invariants are asserted here on every report and plan the
+corpus produces, together with the default part2 budget, which must be the
+plan's lane count.  The counting kernel is also held
 to the oracle's per-pair closed forms on every integer pair of the grid that
 acceptance check 3/8 walks, and on decimal speeds.  The report writer is held
 to its spec, canonical_json(report_to_dict(report)), on every report the
@@ -19,6 +21,7 @@ from __future__ import annotations
 import random
 
 import reference_planners as ref
+from conftest import lane_speeds
 from laneflow import VehicleRecord, canonical_json, render_report, report_to_dict
 from laneflow import part1, part2
 
@@ -73,6 +76,11 @@ def kb_view(kb):
     return [(lane.index, repr(lane.buffer)) for lane in kb.lanes]
 
 
+def lane_map_view(vehicles, lane_of, lane_count):
+    """kb_view of the lanes a lane map describes."""
+    return [(lane, repr(speeds)) for lane, speeds in lane_speeds(vehicles, lane_of, lane_count).items()]
+
+
 def rendered(result):
     kind, value = result
     return (kind, render_report(value)) if kind == "ok" else result
@@ -91,14 +99,33 @@ def check_events(result, where):
 
 
 def check_plan(vehicles, seed):
-    """build_lane_plan numbers lanes 1..lane_count, one speed class each."""
+    """build_lane_plan numbers lanes 1..lane_count, one speed class each, and
+    budget_from_part1 gives its lane count."""
     kind, plan = outcome(part1.build_lane_plan, vehicles)
     if kind != "ok":
         return
-    assert sorted(plan.lane_class) == list(range(1, plan.lane_count + 1)), seed
-    assert len(set(plan.lane_class.values())) == plan.lane_count, seed
+    lane_of, lane_count = plan
+    lane_class = {}
     for v in vehicles:
-        assert plan.lane_class[plan.assignment[v.id]] == v.speed_class, (seed, v)
+        lane_class.setdefault(lane_of[v.id], v.speed_class)
+    assert sorted(lane_class) == list(range(1, lane_count + 1)), seed
+    assert len(set(lane_class.values())) == lane_count, seed
+    for v in vehicles:
+        assert lane_class[lane_of[v.id]] == v.speed_class, (seed, v)
+    assert part2.budget_from_part1(vehicles) == lane_count, seed
+
+
+def test_budget_is_the_plan_lane_count_at_the_band_edges():
+    # a decimal just past an integer band edge falls in the lower band
+    speeds = (10, 10.5, 30, 30.5, 45, 45.5, 50, 50.5)
+    vehicles = [VehicleRecord(f"v{i + 1}", s, i) for i, s in enumerate(speeds)]
+    assert part2.budget_from_part1(vehicles) == part1.build_lane_plan(vehicles)[1] == 4
+
+
+def test_budget_and_plan_refuse_the_empty_stream_alike():
+    refused = outcome(part1.build_lane_plan, [])
+    assert refused[0] == "EmptyStream"
+    assert outcome(part2.budget_from_part1, []) == refused
 
 
 def test_reports_match_the_reference():
@@ -158,8 +185,9 @@ def test_knowledge_base_matches_the_reference():
             assert got == want, seed
             continue
         assert got[0] == "ok", (seed, got)
-        (kb, assignment), (ref_kb, ref_assignment) = got[1], want[1]
-        assert kb_view(kb) == kb_view(ref_kb), seed
+        (assignment, lane_count), (ref_kb, ref_assignment) = got[1], want[1]
+        assert lane_count == ref_kb.lane_count, seed
+        assert lane_map_view(vehicles, assignment, lane_count) == kb_view(ref_kb), seed
         assert assignment == ref_assignment, seed
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from laneflow import (
@@ -112,6 +114,13 @@ def test_parse_round_trip():
     assert parsed == vehicles
     assert isinstance(parsed[0].speed, int)
     assert isinstance(parsed[1].speed, float)
+    # an inner space reads back; a comma, a line break (U+2028 is one to
+    # str.splitlines) or surrounding whitespace would not
+    inner = [VehicleRecord(id="a b", speed=10, arrival=0)]
+    assert parse_vehicle_file(render_vehicle_file(inner)) == inner
+    for bad in ("a,b", "a\u2028b", " x"):
+        with pytest.raises(ValueError, match=re.escape(f"vehicle id {bad!r}")):
+            render_vehicle_file([VehicleRecord(id=bad, speed=10, arrival=0)])
 
 
 def test_parse_flags_positions():

@@ -46,17 +46,19 @@ def brute_pair_count(vehicles):
 
 
 def test_lane_formation_first_appearance_order():
-    plan = build_lane_plan(stream((5, 0), (20, 1), (7, 2), (60, 3)))
-    assert plan.lane_count == 3
-    assert plan.assignment == {"v1": 1, "v2": 2, "v3": 1, "v4": 3}
-    assert [plan.lane_class[i].name for i in (1, 2, 3)] == ["A", "B", "E"]
+    vehicles = stream((5, 0), (20, 1), (7, 2), (60, 3))
+    lane_of, lane_count = build_lane_plan(vehicles)
+    assert lane_count == 3
+    assert lane_of == {"v1": 1, "v2": 2, "v3": 1, "v4": 3}
+    lane_class = {lane_of[v.id]: v.speed_class for v in vehicles}
+    assert [lane_class[i].name for i in (1, 2, 3)] == ["A", "B", "E"]
 
 
 def test_lane_formation_degenerate_streams():
-    assert build_lane_plan(stream((50, 0))).lane_count == 1
-    plan = build_lane_plan(stream((5, 0), (5, 1), (5, 2)))
-    assert plan.lane_count == 1
-    assert set(plan.assignment.values()) == {1}
+    assert build_lane_plan(stream((50, 0)))[1] == 1
+    lane_of, lane_count = build_lane_plan(stream((5, 0), (5, 1), (5, 2)))
+    assert lane_count == 1
+    assert set(lane_of.values()) == {1}
 
 
 def test_lane_formation_rejects_bad_input():
@@ -68,7 +70,7 @@ def test_lane_formation_rejects_bad_input():
 
 
 def test_pair_enumeration_guard():
-    plan_and_pairs = lambda vs: enumerate_overtake_pairs(vs, build_lane_plan(vs).assignment)
+    plan_and_pairs = lambda vs: enumerate_overtake_pairs(vs, build_lane_plan(vs)[0])
     head_start = lambda pair: pair.fast.arrival - pair.slow.arrival
 
     caught_up = plan_and_pairs(stream((35, 0), (45, 1)))
@@ -86,16 +88,16 @@ def test_pair_enumeration_covers_all_ordered_pairs():
     # v3 is slower than v1 but listed later; the (v3, v1) pair must
     # still be found, and order must follow input positions.
     vehicles = stream((40, 5), (45, 9), (35, 2))
-    pairs = enumerate_overtake_pairs(vehicles, build_lane_plan(vehicles).assignment)
+    pairs = enumerate_overtake_pairs(vehicles, build_lane_plan(vehicles)[0])
     labels = [(p.slow.id, p.fast.id) for p in pairs]
     assert labels == [("v1", "v2"), ("v3", "v1"), ("v3", "v2")]
 
 
 def test_count_transitions_event_mode():
     vehicles = stream((20, 0), (35, 0), (45, 1))  # lane 1: B, lane 2: C x2
-    plan = build_lane_plan(vehicles)
-    pairs = enumerate_overtake_pairs(vehicles, plan.assignment)
-    count, events = count_transitions(pairs, plan.lane_count, "event")
+    lane_of, lane_count = build_lane_plan(vehicles)
+    pairs = enumerate_overtake_pairs(vehicles, lane_of)
+    count, events = count_transitions(pairs, lane_count, "event")
     assert count == 1
     event = events[0]
     assert (event.overtaken_id, event.overtaker_id) == ("v2", "v3")
@@ -106,19 +108,19 @@ def test_count_transitions_event_mode():
 
 def test_count_transitions_interior_preference():
     vehicles = stream((5, 0), (35, 0), (45, 1), (60, 0))  # C pair sits in lane 2 of 3
-    plan = build_lane_plan(vehicles)
-    pairs = enumerate_overtake_pairs(vehicles, plan.assignment)
-    _, lower = count_transitions(pairs, plan.lane_count, "event", interior="lower")
-    _, upper = count_transitions(pairs, plan.lane_count, "event", interior="upper")
+    lane_of, lane_count = build_lane_plan(vehicles)
+    pairs = enumerate_overtake_pairs(vehicles, lane_of)
+    _, lower = count_transitions(pairs, lane_count, "event", interior="lower")
+    _, upper = count_transitions(pairs, lane_count, "event", interior="upper")
     assert lower[0].to_lane == 1
     assert upper[0].to_lane == 3
 
 
 def test_count_transitions_literal_mode():
     vehicles = stream((20, 0), (35, 0), (45, 1))
-    plan = build_lane_plan(vehicles)
-    pairs = enumerate_overtake_pairs(vehicles, plan.assignment)
-    count, events = count_transitions(pairs, plan.lane_count, "literal")
+    lane_of, lane_count = build_lane_plan(vehicles)
+    pairs = enumerate_overtake_pairs(vehicles, lane_of)
+    count, events = count_transitions(pairs, lane_count, "literal")
     assert count == 3
     assert events == ()
 
@@ -179,9 +181,9 @@ def test_population_and_average_bookkeeping():
 def test_random_streams_satisfy_invariants():
     for seed in range(120):
         vehicles = make_stream(seed, max_n=60, float_share=0.15 if seed % 3 == 0 else 0.0)
-        plan = build_lane_plan(vehicles)
+        lane_of, lane_count = build_lane_plan(vehicles)
         pairs = brute_pair_count(vehicles)
-        if plan.lane_count == 1 and pairs:
+        if lane_count == 1 and pairs:
             with pytest.raises(PlanHasNoAdjacentLane):
                 simulate_part1(vehicles)
             continue
@@ -192,7 +194,7 @@ def test_random_streams_satisfy_invariants():
 
         by_lane: dict[int, set] = {}
         for v in vehicles:
-            by_lane.setdefault(plan.assignment[v.id], set()).add(classify_speed(v.speed))
+            by_lane.setdefault(lane_of[v.id], set()).add(classify_speed(v.speed))
         assert all(len(cs) == 1 for cs in by_lane.values())
         assert len(set(frozenset(cs) for cs in by_lane.values())) == len(by_lane)
 
@@ -200,7 +202,7 @@ def test_random_streams_satisfy_invariants():
         assert sum(report.lane_population.values()) == len(vehicles)
 
         for lane, avg in report.lane_average_speed.items():
-            members = [exact(v.speed) for v in vehicles if plan.assignment[v.id] == lane]
+            members = [exact(v.speed) for v in vehicles if lane_of[v.id] == lane]
             assert avg == float(sum(members) / len(members))
 
 
@@ -208,7 +210,7 @@ def test_transition_count_is_permutation_invariant():
     rng = random.Random(42)
     for seed in range(25):
         vehicles = make_stream(seed, max_n=40)
-        if build_lane_plan(vehicles).lane_count == 1:
+        if build_lane_plan(vehicles)[1] == 1:
             continue
         shuffled = vehicles[:]
         rng.shuffle(shuffled)

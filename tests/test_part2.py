@@ -1,4 +1,9 @@
-"""Knowledge-base lane growth, assignment rules, and transition counting."""
+"""Knowledge-base lane growth, assignment rules, and transition counting.
+
+assign_stream returns only the lane map and the lane count; each lane's
+speeds, in the order the fold took them, are derived from the map
+(conftest.lane_speeds).
+"""
 
 from __future__ import annotations
 
@@ -20,7 +25,7 @@ from laneflow import (
 )
 from laneflow.kinematics import exact
 
-from conftest import make_stream
+from conftest import lane_speeds, make_stream
 
 
 def stream(*speed_arrivals):
@@ -31,9 +36,10 @@ def stream(*speed_arrivals):
 
 
 def fold(budget, speeds):
+    """(each lane's speeds, each vehicle's lane) for speeds arriving one a tick."""
     vehicles = stream(*((speed, i) for i, speed in enumerate(speeds)))
-    kb, assignment = assign_stream(vehicles, budget)
-    return kb, [assignment[v.id] for v in vehicles]
+    assignment, lane_count = assign_stream(vehicles, budget)
+    return lane_speeds(vehicles, assignment, lane_count), [assignment[v.id] for v in vehicles]
 
 
 def test_budget_must_be_positive_integer():
@@ -43,24 +49,24 @@ def test_budget_must_be_positive_integer():
 
 
 def test_assignment_walkthrough():
-    kb, lanes = fold(2, [10, 10, 50, 28])
+    held, lanes = fold(2, [10, 10, 50, 28])
     assert lanes == [1, 1, 2, 1]
-    assert kb.lanes[0].buffer == (10, 10, 28)
-    assert kb.lanes[1].buffer == (50,)
+    assert held[1] == (10, 10, 28)
+    assert held[2] == (50,)
     report = simulate_part2(stream((10, 0), (10, 1), (50, 2), (28, 3)), budget=2)
     assert report.lane_average_speed == {1: 16.0, 2: 50.0}
 
 
 def test_formation_only():
-    kb, lanes = fold(3, [10, 50])
+    held, lanes = fold(3, [10, 50])
     assert lanes == [1, 2]
-    assert kb.lane_count == 2
+    assert len(held) == 2
 
 
 def test_single_lane_takes_everything():
-    kb, lanes = fold(1, [10, 90])
+    held, lanes = fold(1, [10, 90])
     assert lanes == [1, 1]
-    assert kb.lanes[0].buffer == (10, 90)
+    assert held[1] == (10, 90)
     # the 90 leaves first, so the lone lane holds no overtaking pair
     report = simulate_part2(stream((90, 0), (10, 1)), budget=1)
     assert report.lane_average_speed == {1: 50.0}
@@ -68,15 +74,15 @@ def test_single_lane_takes_everything():
 
 def test_nearest_average_ties_go_low():
     # lanes average 10 and 30; a 20 is equally near both
-    kb, lanes = fold(2, [10, 30, 20])
+    _, lanes = fold(2, [10, 30, 20])
     assert lanes == [1, 2, 1]
 
 
 def test_exact_match_beats_formation_and_distance():
     # 90 is far from lane 1's average but already present in its buffer
-    kb, lanes = fold(3, [90, 10, 90])
+    held, lanes = fold(3, [90, 10, 90])
     assert lanes == [1, 2, 1]
-    assert kb.lane_count == 2
+    assert len(held) == 2
 
 
 def test_assignment_follows_arrival_order_with_stable_ties():
@@ -85,10 +91,11 @@ def test_assignment_follows_arrival_order_with_stable_ties():
         VehicleRecord(id="first", speed=10, arrival=0),
         VehicleRecord(id="tied", speed=30, arrival=5),
     ]
-    kb, assignment = assign_stream(vehicles, budget=2)
+    assignment, lane_count = assign_stream(vehicles, budget=2)
     assert assignment == {"first": 1, "late": 2, "tied": 2}
-    assert kb.lanes[0].buffer == (10,)
-    assert kb.lanes[1].buffer == (20, 30)
+    held = lane_speeds(vehicles, assignment, lane_count)
+    assert held[1] == (10,)
+    assert held[2] == (20, 30)
     assert simulate_part2(vehicles, budget=2).lane_average_speed == {1: 10.0, 2: 25.0}
 
 
@@ -154,21 +161,22 @@ def test_random_streams_satisfy_invariants():
         distinct = len({v.speed for v in vehicles})
         budget = distinct if seed % 5 == 0 else rng.randint(1, 6)
 
-        kb, assignment = assign_stream(vehicles, budget)
-        assert sum(len(lane.buffer) for lane in kb.lanes) == len(vehicles)
-        assert kb.lane_count <= budget
-        assert kb.lane_count == min(budget, distinct)
-        assert [lane.index for lane in kb.lanes] == list(range(1, kb.lane_count + 1))
+        assignment, lane_count = assign_stream(vehicles, budget)
+        held = lane_speeds(vehicles, assignment, lane_count)
+        assert sum(len(speeds) for speeds in held.values()) == len(vehicles)
+        assert lane_count <= budget
+        assert lane_count == min(budget, distinct)
+        assert sorted(set(assignment.values())) == list(range(1, lane_count + 1))
 
         try:
             report = simulate_part2(vehicles, budget)
         except PlanHasNoAdjacentLane:
-            assert kb.lane_count == 1
+            assert lane_count == 1
         else:
-            for lane in kb.lanes:
-                recomputed = Fraction(sum(exact(s) for s in lane.buffer)) / len(lane.buffer)
-                assert report.lane_average_speed[lane.index] == float(recomputed)
-                assert report.lane_population[lane.index] == len(lane.buffer)
+            for lane, speeds in held.items():
+                recomputed = Fraction(sum(exact(s) for s in speeds)) / len(speeds)
+                assert report.lane_average_speed[lane] == float(recomputed)
+                assert report.lane_population[lane] == len(speeds)
 
         if budget >= distinct:
             # each lane holds exactly one distinct speed, so no lane can
@@ -197,8 +205,8 @@ def test_event_count_matches_same_lane_pair_recount():
     for seed in range(40):
         vehicles = make_stream(seed + 1000, max_n=50)
         budget = (seed % 4) + 2
-        kb, assignment = assign_stream(vehicles, budget)
-        if kb.lane_count == 1:
+        assignment, lane_count = assign_stream(vehicles, budget)
+        if lane_count == 1:
             continue
         report = simulate_part2(vehicles, budget)
         brute = 0

@@ -98,6 +98,11 @@ def test_config_validation():
         SynthConfig(seed=1 << 64)
     with pytest.raises(ConfigError):
         SynthConfig(seed=1.5)  # SplitMix64 would fail on it at the first draw
+    # bool is an int subclass: True would pass as 1
+    with pytest.raises(ConfigError, match="arrival_gap_max"):
+        SynthConfig(arrival_gap_max=True)
+    with pytest.raises(ConfigError, match="seed"):
+        SynthConfig(seed=True)
 
 
 def test_with_seed_changes_only_the_seed():
