@@ -96,7 +96,8 @@ def _first_set(*values):
     return next(value for value in values if value is not None)
 
 
-def _synth_config(cfg: FileConfig, seed_flag: int | None) -> SynthConfig:
+def _synth_config(cfg: FileConfig, seed_flag: int | None, counts: ClassCountVector) -> SynthConfig:
+    cfg.check_speed_labels(counts.labels)
     return SynthConfig(
         class_speed_range={**DEFAULT_SPEED_RANGES, **cfg.speed_ranges},
         arrival_gap_max=_first_set(cfg.arrival_gap_max, DEFAULT_ARRIVAL_GAP_MAX),
@@ -152,7 +153,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         raise DegenerateDistribution(
             f"scaling row {args.row!r} to {args.n} rounded every class to zero"
         )
-    config = _synth_config(_load_config(args.config), args.seed)
+    config = _synth_config(_load_config(args.config), args.seed, counts)
     stream = synthesize_stream(scaled, config)
     _write_text(args.out, render_vehicle_file(stream))
     return EXIT_OK
@@ -180,7 +181,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         base_seed=_first_set(args.base_seed, cfg.base_seed, 0),
         counting_mode=_first_set(args.mode, cfg.counting_mode, "event"),
         source_counts=counts,
-        synth=_synth_config(cfg, None),
+        synth=_synth_config(cfg, None, counts),
     )
     result = run_compare(spec)
     try:

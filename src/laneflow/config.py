@@ -11,8 +11,11 @@ no nesting, no sections.  Recognized keys:
     base_seed           = u64     ensemble base seed
     counting_mode       = event | literal
 
-Unknown keys are rejected rather than ignored, so typos surface immediately.
-A value that breaks its setting's rule is rejected with its line number.
+Unknown keys are rejected rather than ignored, so typos surface immediately;
+so is a key given twice (the message names both lines), and, once the census
+is known, a speed.<label> that names none of its classes
+(FileConfig.check_speed_labels).  A value that breaks its setting's rule is
+rejected with its line number.
 
 The rules themselves live here too, once each, and raise ValueError with a
 message that names no setting; whoever reads the value names it: a config
@@ -86,6 +89,18 @@ class FileConfig:
     runs_per_size: int | None = None
     base_seed: int | None = None
     counting_mode: str | None = None
+    lines: dict[str, int] = field(default_factory=dict)  # key -> the line that set it
+
+    def check_speed_labels(self, labels: tuple[str, ...]) -> None:
+        """Refuse a speed.<label> line whose label is not one of labels, the
+        classes of the census in use: it would otherwise be silently ignored."""
+        for label in self.speed_ranges:
+            if label not in labels:
+                key = f"speed.{label}"
+                raise ConfigError(
+                    f"line {self.lines[key]}: {key} names no class of the census in use "
+                    f"({', '.join(labels)})"
+                )
 
 
 # keys that take one integer, each named as its FileConfig field, and their rules
@@ -129,10 +144,15 @@ def parse_config_text(text: str) -> FileConfig:
         value = value.strip()
         if not key or not value:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        if key.startswith("speed."):
-            label = key[len("speed."):].strip()
-            if not label:
-                raise ConfigError(f"line {lineno}: speed range needs a class label")
+        label = key[len("speed."):].strip() if key.startswith("speed.") else None
+        if label == "":
+            raise ConfigError(f"line {lineno}: speed range needs a class label")
+        if label:
+            key = f"speed.{label}"
+        if key in cfg.lines:
+            raise ConfigError(f"line {lineno}: {key} is already set on line {cfg.lines[key]}")
+        cfg.lines[key] = lineno
+        if label:
             bounds = _parse_range(value, key, lineno)
             cfg.speed_ranges[label] = check_setting(f"line {lineno}: {key}", check_speed_range, bounds)
         elif key in _INTEGER_KEYS:

@@ -26,7 +26,7 @@ from .errors import EmptyStream, ParseError, SpeedOutOfModel
 Speed = int | float  # km/h; int preserved when the source text is integral
 
 ALGORITHMS = ("part1", "part2")  # the speed-class and the lane-budget planner
-COUNTING_MODES = ("event", "literal")  # how part1.count_transitions reads a pair
+COUNTING_MODES = ("event", "literal")  # part1.count_transitions or part1.literal_count
 
 
 class SpeedClass(enum.IntEnum):

@@ -9,8 +9,10 @@ leader at
     catch-up tick = max(1, ceil(slow * head / gain))
 
 and spends floor(slow * head / gain) ticks at or behind it, which is what
-literal counting adds up per pair.  part1.count_transitions evaluates both
-on plain integers, as -(-slow * head // gain) and slow * head // gain.
+literal counting adds up per pair.  Both are evaluated on plain integers:
+part1.count_transitions stamps each event with -(-slow * head // gain), and
+part1.literal_count sums slow * head // gain over a lane's members without
+building pairs.
 
 All arithmetic is exact: a parsed "35.3" behaves as 353/10, never as its
 binary float.  common_scale maps every distinct speed of a stream to

@@ -7,16 +7,19 @@ the leader.  Two counting modes exist because "number of overtakes" can be
 read two ways:
 
 * event   - one transition per pair, stamped with its catch-up tick
+            (enumerate_overtake_pairs, then count_transitions)
 * literal - per pair, every tick the follower is still at or behind the
-            leader is counted (see kinematics)
+            leader is counted (see kinematics); literal_count sums these
+            straight from each lane's members and builds no pairs
 """
 
 from __future__ import annotations
 
 from itertools import chain
 from operator import attrgetter
-from typing import Iterable, Mapping, NamedTuple, NoReturn
+from typing import Iterable, Mapping, NamedTuple
 
+from .config import check_counting_mode
 from .domain import COUNTING_MODES, SimulationReport, Speed, TransitionEvent, VehicleRecord
 from .errors import EmptyStream, PlanHasNoAdjacentLane
 from .kinematics import common_scale, transition_target
@@ -70,26 +73,15 @@ def enumerate_overtake_pairs(
     return pairs
 
 
-def _not_an_overtake(slow: VehicleRecord, fast: VehicleRecord) -> NoReturn:
-    raise ValueError(
-        f"{slow.id!r} -> {fast.id!r} is not an overtaking pair: the follower must be "
-        f"strictly faster (slow={slow.speed}, fast={fast.speed}) and arrive no earlier"
-    )
-
-
 def count_transitions(
-    pairings: Iterable[OvertakePairing],
-    lane_count: int,
-    mode: str = "event",
-    interior: str = "lower",
+    pairings: Iterable[OvertakePairing], lane_count: int, interior: str = "lower"
 ) -> tuple[int, tuple[TransitionEvent, ...]]:
-    """Turn qualifying pairs into a transition count (and events, in event mode).
+    """One transition event per qualifying pair, stamped with its catch-up
+    tick; returns (event count, events).
 
     A plan with a single lane cannot host any transition: if pairs exist the
     situation is contradictory and PlanHasNoAdjacentLane is raised.
     """
-    if mode not in COUNTING_MODES:
-        raise ValueError(f"unknown counting mode {mode!r}")
     pairings = list(pairings)
     if pairings and lane_count == 1:
         raise PlanHasNoAdjacentLane(
@@ -97,15 +89,6 @@ def count_transitions(
         )
     # Exact ratios slow*head/(fast-slow) on integer speeds (see kinematics).
     scaled, _ = common_scale(chain.from_iterable(map(_PAIR_SPEEDS, pairings)))
-    if mode == "literal":
-        total = 0
-        for slow, fast, _ in pairings:
-            s = scaled[slow.speed]
-            head, gain = fast.arrival - slow.arrival, scaled[fast.speed] - s
-            if head < 0 or gain <= 0:
-                _not_an_overtake(slow, fast)
-            total += s * head // gain
-        return total, ()
     targets: dict[int, int] = {}
     events = []
     for slow, fast, lane in pairings:
@@ -115,10 +98,45 @@ def count_transitions(
         s = scaled[slow.speed]
         head, gain = fast.arrival - slow.arrival, scaled[fast.speed] - s
         if head < 0 or gain <= 0:
-            _not_an_overtake(slow, fast)
+            raise ValueError(
+                f"{slow.id!r} -> {fast.id!r} is not an overtaking pair: the follower must be "
+                f"strictly faster (slow={slow.speed}, fast={fast.speed}) and arrive no earlier"
+            )
         ticks = -(-s * head // gain)
         events.append(TransitionEvent(fast.id, slow.id, lane, target, ticks if ticks > 1 else 1))
     return len(events), tuple(events)
+
+
+def literal_count(
+    vehicles: list[VehicleRecord], lane_of: Mapping[str, int], lane_count: int
+) -> int:
+    """The literal-mode transition count: floor(slow * head / gain) summed over
+    every qualifying pair, on the common integer scale, with no pair built.
+
+    Each lane's members are sorted by (arrival, scaled speed).  A member's
+    qualifying followers are then exactly the strictly faster members after
+    it: a member before it arrived earlier, or at the same tick and no
+    faster.  For the same reason a lane holds a qualifying pair exactly when
+    its sorted speeds rise somewhere, which is how a single-lane plan with
+    pairs is caught (PlanHasNoAdjacentLane, as in event mode), also when
+    every such pair counts 0.
+    """
+    scaled, _ = common_scale(v.speed for v in vehicles)
+    lanes: dict[int, list[tuple[int, int]]] = {}
+    for v in vehicles:
+        lanes.setdefault(lane_of[v.id], []).append((v.arrival, scaled[v.speed]))
+    total = 0
+    for members in lanes.values():
+        members.sort()
+        if lane_count == 1 and any(x[1] < y[1] for x, y in zip(members, members[1:])):
+            raise PlanHasNoAdjacentLane(
+                "overtaking pairs exist but the plan holds a single lane"
+            )
+        for i, (a, s) in enumerate(members, 1):
+            for b, f in members[i:]:
+                if f > s:
+                    total += s * (b - a) // (f - s)
+    return total
 
 
 def lane_statistics(
@@ -149,9 +167,13 @@ def simulate_part1(
     vehicles: list[VehicleRecord], mode: str = "event", interior: str = "lower"
 ) -> SimulationReport:
     """Plan lanes by speed class and count overtaking transitions."""
+    check_counting_mode(mode)
     lane_of, lane_count = build_lane_plan(vehicles)
-    pairs = enumerate_overtake_pairs(vehicles, lane_of)
-    count, events = count_transitions(pairs, lane_count, mode, interior)
+    if mode == "literal":
+        count, events = literal_count(vehicles, lane_of, lane_count), ()
+    else:
+        pairs = enumerate_overtake_pairs(vehicles, lane_of)
+        count, events = count_transitions(pairs, lane_count, interior)
     averages, populations = lane_statistics(vehicles, lane_of, lane_count)
     return SimulationReport(
         algorithm="part1",

@@ -21,10 +21,11 @@ come from the same part1 functions the class planner uses.
 
 from __future__ import annotations
 
+from .config import check_counting_mode
 from .domain import SimulationReport, Speed, VehicleRecord
 from .errors import EmptyStream, InvalidBudget
 from .kinematics import common_scale
-from .part1 import count_transitions, enumerate_overtake_pairs, lane_statistics
+from .part1 import count_transitions, enumerate_overtake_pairs, lane_statistics, literal_count
 
 
 def _nearest(x: int, populations: list[int], totals: list[int]) -> int:
@@ -90,9 +91,13 @@ def simulate_part2(
 ) -> SimulationReport:
     """Grow lanes under a budget, then count transitions as the class planner does,
     with "same lane" meaning "same grown lane"."""
+    check_counting_mode(mode)
     lane_of, lane_count = assign_stream(vehicles, budget)
-    pairs = enumerate_overtake_pairs(vehicles, lane_of)
-    count, events = count_transitions(pairs, lane_count, mode, interior)
+    if mode == "literal":
+        count, events = literal_count(vehicles, lane_of, lane_count), ()
+    else:
+        pairs = enumerate_overtake_pairs(vehicles, lane_of)
+        count, events = count_transitions(pairs, lane_count, interior)
     averages, populations = lane_statistics(vehicles, lane_of, lane_count)
     return SimulationReport(
         algorithm="part2",

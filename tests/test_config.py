@@ -122,3 +122,34 @@ def test_rule_bounds_are_inclusive():
     assert (cfg.seed, cfg.base_seed, cfg.runs_per_size) == (0, (1 << 64) - 1, 1)
     assert cfg.arrival_gap_max == 1
     assert cfg.speed_ranges == {"Cars": (1, 100)}
+
+
+def test_a_key_given_twice_names_both_lines():
+    with pytest.raises(ConfigError, match="^line 3: seed is already set on line 1$"):
+        parse_config_text("seed = 1\n# again\nseed = 2\n")
+    with pytest.raises(ConfigError, match="^line 2: speed.Cars is already set on line 1$"):
+        parse_config_text("speed.Cars = 31-60\nspeed. Cars = 40\n")
+    cfg = parse_config_text("speed.Cars = 31-60\nspeed.Buses = 31-60\nseed = 1\n")
+    assert cfg.lines == {"speed.Cars": 1, "speed.Buses": 2, "seed": 3}
+
+
+BUNDLED_CLASSES = "Cars, Motor Cycle, LCV, Buses, Trucks, Vehicles, Rickshaw"
+
+
+@pytest.mark.parametrize("text, command, message", [
+    ("seed = 1\nseed = 2\n", "sample --n 20", "line 2: seed is already set on line 1"),
+    ("sizes = 8, 12\nruns_per_size = 2\nsizes = 8, 12\n", "compare",
+     "line 3: sizes is already set on line 1"),
+    ("seed = 1\nspeed.Nope = 1-2\n", "sample --n 20",
+     f"line 2: speed.Nope names no class of the census in use ({BUNDLED_CLASSES})"),
+    ("speed.Nope = 1-2\nsizes = 8, 12\nruns_per_size = 2\n", "compare",
+     f"line 1: speed.Nope names no class of the census in use ({BUNDLED_CLASSES})"),
+])
+def test_repeated_keys_and_unknown_classes_exit_4(capsys, monkeypatch, tmp_path, text, command, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.conf").write_text(text, encoding="utf-8")
+    assert main([*command.split(), "--config", "run.conf"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.err == f"laneflow: {message}\n"
+    assert captured.out == ""
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["run.conf"]

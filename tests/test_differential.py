@@ -9,9 +9,11 @@ as the oracle's knowledge base, and failures must raise the same exception
 with the same message.  Transition events and lane plans carry no checks of
 their own, so their invariants are asserted here on every report and plan the
 corpus produces, together with the default part2 budget, which must be the
-plan's lane count.  The counting kernel is also held
-to the oracle's per-pair closed forms on every integer pair of the grid that
-acceptance check 3/8 walks, and on decimal speeds.  The report writer is held
+plan's lane count.  The literal kernel, part1.literal_count, is held to the
+oracle's literal count on the corpus under other lane maps as well.  Both
+counting kernels are also held to the oracle's per-pair closed forms on every
+integer pair of the grid that acceptance check 3/8 walks, and on decimal
+speeds.  The report writer is held
 to its spec, canonical_json(report_to_dict(report)), on every report the
 corpus gives.
 """
@@ -20,9 +22,11 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 import reference_planners as ref
 from conftest import lane_speeds
-from laneflow import VehicleRecord, canonical_json, render_report, report_to_dict
+from laneflow import PlanHasNoAdjacentLane, VehicleRecord, canonical_json, render_report, report_to_dict
 from laneflow import part1, part2
 
 STREAMS = 1000
@@ -201,6 +205,48 @@ def test_bad_budgets_fail_like_the_reference():
 
 
 
+def reference_literal_count(vehicles, lane_of, lane_count):
+    return ref.count_transitions(ref.enumerate_pairs(vehicles, lane_of), lane_count, "literal")[0]
+
+
+def check_literal_count(vehicles, lane_of, lane_count, where):
+    got = outcome(part1.literal_count, vehicles, lane_of, lane_count)
+    assert got == outcome(reference_literal_count, vehicles, lane_of, lane_count), where
+
+
+def test_literal_count_matches_the_reference():
+    for seed in range(STREAMS):
+        vehicles = corpus_stream(seed)
+        lane_of = {v.id: (i * 7 + seed) % 3 + 1 for i, v in enumerate(vehicles)}
+        check_literal_count(vehicles, lane_of, 3, seed)
+        check_literal_count(vehicles, dict.fromkeys(lane_of, 1), 1, seed)
+
+
+def test_literal_count_on_hand_picked_streams():
+    streams = {
+        "out of order": [(40, 5), (45, 9), (35, 2), (44, 0), (41, 7)],
+        "equal arrivals": [(35, 3), (40, 3), (45, 3), (36, 4), (35, 4)],
+        "twins": [(35, 0), (35.0, 1), (40, 2), (40.0, 0), (35, 2)],
+        "decimal": [(35.3, 0), (35.5, 2), (45.5, 1), (0.3, 0), (0.4, 1), (99.99, 4)],
+        "mixed": [(35, 0), (35.3, 1), (36, 1), (35.25, 3), (0.5, 0), (1, 4)],
+    }
+    for name, speed_arrivals in streams.items():
+        vehicles = [VehicleRecord(f"v{i + 1}", s, a) for i, (s, a) in enumerate(speed_arrivals)]
+        for lanes in (1, 2, 3):
+            lane_of = {v.id: i % lanes + 1 for i, v in enumerate(vehicles)}
+            check_literal_count(vehicles, lane_of, lanes, (name, lanes))
+
+
+def test_single_lane_pair_that_counts_zero_still_raises():
+    # equal arrivals: floor(5 * 0 / 2) = 0, yet a single lane cannot hold the pair
+    vehicles = [VehicleRecord("slow", 5, 3), VehicleRecord("fast", 7, 3)]
+    lane_of = {"slow": 1, "fast": 1}
+    assert part1.literal_count(vehicles, lane_of, 2) == 0
+    with pytest.raises(PlanHasNoAdjacentLane):
+        part1.literal_count(vehicles, lane_of, 1)
+    check_literal_count(vehicles, lane_of, 1, "floor 0")
+
+
 def lane_one_pairings(triples):
     """(slow, fast, head) triples as overtaking pairs on lane 1 of a two-lane plan."""
     slow = {s: VehicleRecord(f"s{s}", s, 0) for s, _, _ in triples}
@@ -208,15 +254,18 @@ def lane_one_pairings(triples):
     return [part1.OvertakePairing(slow[s], fast[f, h], 1) for s, f, h in triples]
 
 
-def check_kernel_against_closed_forms(triples):
-    """Event ticks from one call over all pairs (one common speed scale), and
-    the literal count of each pair from a call of its own."""
+def check_kernels_against_closed_forms(triples):
+    """Event ticks from one count_transitions call over all pairs (one common
+    speed scale), and each pair's literal count from literal_count on a
+    two-vehicle stream of its own."""
     pairings = lane_one_pairings(triples)
-    _, events = part1.count_transitions(pairings, 2, "event")
-    for (s, f, h), pairing, event in zip(triples, pairings, events, strict=True):
+    _, events = part1.count_transitions(pairings, 2)
+    both_in_lane_one = {"slow": 1, "fast": 1}
+    for (s, f, h), event in zip(triples, events, strict=True):
         pair = ref.OvertakePair(s, f, h)
         assert event.catch_up_ticks == ref.catch_up_ticks(pair), (s, f, h)
-        literal, _ = part1.count_transitions([pairing], 2, "literal")
+        two = [VehicleRecord("slow", s, 0), VehicleRecord("fast", f, h)]
+        literal = part1.literal_count(two, both_in_lane_one, 2)
         assert literal == ref.literal_overtake_count(pair), (s, f, h)
 
 
@@ -225,7 +274,7 @@ def test_kernel_matches_the_closed_forms_on_the_full_grid():
     # closed forms to the tick loop
     grid = [(s, f, h) for f in range(2, 101) for s in range(1, f) for h in range(51)]
     assert len(grid) == 252_450
-    check_kernel_against_closed_forms(grid)
+    check_kernels_against_closed_forms(grid)
 
 
 def test_kernel_matches_the_closed_forms_on_decimal_speeds():
@@ -240,4 +289,4 @@ def test_kernel_matches_the_closed_forms_on_decimal_speeds():
         slow, fast = sorted(rng.sample(speeds, 2))
         if slow < fast:
             triples.append((slow, fast, rng.randint(0, 50)))
-    check_kernel_against_closed_forms(triples)
+    check_kernels_against_closed_forms(triples)

@@ -17,8 +17,10 @@ from laneflow import (
     enumerate_overtake_pairs,
     render_report,
     simulate_part1,
+    simulate_part2,
 )
 from laneflow.kinematics import exact
+from laneflow.part1 import literal_count
 
 from conftest import make_stream
 
@@ -97,7 +99,7 @@ def test_count_transitions_event_mode():
     vehicles = stream((20, 0), (35, 0), (45, 1))  # lane 1: B, lane 2: C x2
     lane_of, lane_count = build_lane_plan(vehicles)
     pairs = enumerate_overtake_pairs(vehicles, lane_of)
-    count, events = count_transitions(pairs, lane_count, "event")
+    count, events = count_transitions(pairs, lane_count)
     assert count == 1
     event = events[0]
     assert (event.overtaken_id, event.overtaker_id) == ("v2", "v3")
@@ -110,38 +112,39 @@ def test_count_transitions_interior_preference():
     vehicles = stream((5, 0), (35, 0), (45, 1), (60, 0))  # C pair sits in lane 2 of 3
     lane_of, lane_count = build_lane_plan(vehicles)
     pairs = enumerate_overtake_pairs(vehicles, lane_of)
-    _, lower = count_transitions(pairs, lane_count, "event", interior="lower")
-    _, upper = count_transitions(pairs, lane_count, "event", interior="upper")
+    _, lower = count_transitions(pairs, lane_count, interior="lower")
+    _, upper = count_transitions(pairs, lane_count, interior="upper")
     assert lower[0].to_lane == 1
     assert upper[0].to_lane == 3
 
 
-def test_count_transitions_literal_mode():
-    vehicles = stream((20, 0), (35, 0), (45, 1))
+def test_literal_count_three_vehicle_example():
+    vehicles = stream((20, 0), (35, 0), (45, 1))  # lane 2: 35 then 45 one tick later
     lane_of, lane_count = build_lane_plan(vehicles)
-    pairs = enumerate_overtake_pairs(vehicles, lane_of)
-    count, events = count_transitions(pairs, lane_count, "literal")
-    assert count == 3
-    assert events == ()
+    assert literal_count(vehicles, lane_of, lane_count) == 3  # floor(35 * 1 / 10)
 
 
 def test_count_transitions_rejects_non_overtaking_pairs():
     slow, fast, later_slow = stream((35, 0), (45, 1), (35, 2))
-    for mode in ("event", "literal"):
-        for bad in (OvertakePairing(fast, slow, 1), OvertakePairing(slow, slow, 1),
-                    OvertakePairing(later_slow, fast, 1)):
-            with pytest.raises(ValueError):
-                count_transitions([bad], 2, mode)
+    for bad in (OvertakePairing(fast, slow, 1), OvertakePairing(slow, slow, 1),
+                OvertakePairing(later_slow, fast, 1)):
+        with pytest.raises(ValueError):
+            count_transitions([bad], 2)
 
 
 def test_count_transitions_empty():
-    assert count_transitions([], 4, "event") == (0, ())
-    assert count_transitions([], 1, "literal") == (0, ())
+    assert count_transitions([], 4) == (0, ())
+    assert count_transitions([], 1) == (0, ())
+    no_pairs = stream((10, 0), (10, 5), (9, 9))  # one lane, nobody faster behind
+    assert literal_count(no_pairs, build_lane_plan(no_pairs)[0], 1) == 0
 
 
-def test_count_transitions_unknown_mode():
-    with pytest.raises(ValueError):
-        count_transitions([], 2, "both")
+def test_unknown_mode_is_refused_before_any_work():
+    # an empty stream would raise EmptyStream if the planner ran first
+    with pytest.raises(ValueError, match="^must be 'event' or 'literal'$"):
+        simulate_part1([], "both")
+    with pytest.raises(ValueError, match="^must be 'event' or 'literal'$"):
+        simulate_part2([], 1, "both")
 
 
 def test_single_lane_with_pairs_is_contradictory():
