@@ -26,14 +26,7 @@ from .errors import (
     RowUnusable,
     SpeedOutOfModel,
 )
-from .kinematics import transition_target
-from .part1 import (
-    OvertakePairing,
-    build_lane_plan,
-    count_transitions,
-    enumerate_overtake_pairs,
-    simulate_part1,
-)
+from .part1 import build_lane_plan, simulate_part1
 from .part2 import assign_stream, budget_from_part1, simulate_part2
 from .report import canonical_json, render_report, report_to_dict
 from .rng import SplitMix64, combine_seed
@@ -59,7 +52,6 @@ __all__ = [
     "InvalidSampleSize",
     "LaneflowError",
     "NoAdjacentLane",
-    "OvertakePairing",
     "ParseError",
     "PlanHasNoAdjacentLane",
     "RowUnusable",
@@ -77,8 +69,6 @@ __all__ = [
     "class_count_sd",
     "classify_speed",
     "combine_seed",
-    "count_transitions",
-    "enumerate_overtake_pairs",
     "linear_trend",
     "parse_census",
     "parse_config_text",
@@ -93,7 +83,6 @@ __all__ = [
     "simulate_part2",
     "size_biased_expectation",
     "synthesize_stream",
-    "transition_target",
     "write_outputs",
     "__version__",
 ]

@@ -30,7 +30,7 @@ from .compare import EnsembleSpec, run_compare, write_outputs
 from .config import FileConfig, check_at_least_one, check_sample_sizes, check_u64, parse_config_text
 from .domain import ALGORITHMS, COUNTING_MODES, parse_number, parse_vehicle_file, render_vehicle_file
 from .errors import ConfigError, DegenerateDistribution, LaneflowError, ParseError
-from .part1 import simulate_part1
+from .part1 import INTERIORS, simulate_part1
 from .part2 import budget_from_part1, simulate_part2
 from .refdata import load_token_samples
 from .report import canonical_json, render_report, write_text_atomic
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--mode", choices=COUNTING_MODES, default="event")
     p_sim.add_argument("--budget", type=_budget_flag, default=None,
                        help="lane budget for part2: an integer or 'auto'")
-    p_sim.add_argument("--interior", choices=("lower", "upper"), default="lower",
+    p_sim.add_argument("--interior", choices=INTERIORS, default="lower",
                        help="neighbour an interior lane transitions to")
     p_sim.add_argument("--out", default=None, help="report path (default: stdout)")
     p_sim.set_defaults(func=_cmd_simulate)

@@ -22,6 +22,7 @@ from typing import Any
 
 from .config import check_at_least_one, check_counting_mode, check_sample_sizes, check_setting, check_u64
 from .domain import ALGORITHMS
+from .errors import DegenerateDistribution
 from .part1 import simulate_part1
 from .part2 import budget_from_part1, simulate_part2
 from .report import canonical_json, write_text_atomic
@@ -79,6 +80,10 @@ def run_compare(spec: EnsembleSpec) -> CompareResult:
     runs: dict[str, dict[int, tuple[int, ...]]] = {algo: {} for algo in ALGORITHMS}
     for size_index, size in enumerate(spec.sample_sizes):
         scaled = scale_class_counts(spec.source_counts, size)
+        if scaled.total == 0:
+            raise DegenerateDistribution(
+                f"scaling the source counts to size {size} rounded every class to zero"
+            )
         part1_counts: list[int] = []
         part2_counts: list[int] = []
         for run_index in range(spec.runs_per_size):

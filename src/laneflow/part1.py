@@ -9,20 +9,43 @@ read two ways:
 * event   - one transition per pair, stamped with its catch-up tick
             (enumerate_overtake_pairs, then count_transitions)
 * literal - per pair, every tick the follower is still at or behind the
-            leader is counted (see kinematics); literal_count sums these
-            straight from each lane's members and builds no pairs
+            leader is counted; literal_count sums these straight from each
+            lane's members and builds no pairs
+
+The slow leader enters a lane first and the fast follower ``head`` ticks
+later.  Measuring tick t = 1, 2, ... from the follower's entry, the leader
+has covered slow * (head + t) and the follower fast * t.  With
+gain = fast - slow > 0, the follower first draws level with or passes the
+leader at
+
+    catch-up tick = max(1, ceil(slow * head / gain))
+
+and spends floor(slow * head / gain) ticks at or behind it.
+count_transitions stamps each event with the first, -(-slow * head // gain)
+raised to at least 1; literal_count sums the second, slow * head // gain.
+
+All arithmetic is exact: a parsed "35.3" behaves as 353/10, never as its
+binary float.  common_scale maps every distinct speed of a stream to
+exact(speed) * L, where L is the least common multiple of the exact
+denominators (L = 1 for an integer stream).  Multiplying slow and fast by the
+same positive L leaves slow * head / gain unchanged, so its floor and ceiling
+are the same on the scaled integers as on the exact speeds; a running lane
+average is likewise the scaled total divided by the population and by L.
+Scaling also keeps the order of speeds, so speed comparisons on the scaled
+integers agree with comparisons on the speeds.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .config import check_counting_mode
-from .domain import COUNTING_MODES, SimulationReport, Speed, TransitionEvent, VehicleRecord
-from .errors import EmptyStream, PlanHasNoAdjacentLane
-from .kinematics import common_scale, transition_target
+from .domain import SimulationReport, Speed, TransitionEvent, VehicleRecord
+from .errors import EmptyStream, NoAdjacentLane, PlanHasNoAdjacentLane
 
 _PAIR_SPEEDS = attrgetter("slow.speed", "fast.speed")
 
@@ -33,6 +56,52 @@ class OvertakePairing(NamedTuple):
     slow: VehicleRecord
     fast: VehicleRecord
     lane: int
+
+
+def exact(value: Speed) -> int | Fraction:
+    """Exact rational view of a speed; floats get their decimal reading."""
+    if isinstance(value, int):
+        return value
+    return Fraction(str(value))
+
+
+def common_scale(speeds: Iterable[Speed]) -> tuple[dict[Speed, int], int]:
+    """Map each distinct speed to the integer exact(speed) * L, and return L.
+
+    L is the least common multiple of the exact denominators, so it is 1
+    when every speed is an integer.  Equal speeds such as 35 and 35.0 share
+    one entry.
+    """
+    exacts = {speed: exact(speed) for speed in set(speeds)}
+    scale = math.lcm(1, *(q.denominator for q in exacts.values()))
+    return {speed: q.numerator * (scale // q.denominator) for speed, q in exacts.items()}, scale
+
+
+INTERIORS = ("lower", "upper")  # which neighbour an interior lane's transitions target
+
+
+def check_interior(interior: str) -> None:
+    if interior not in INTERIORS:
+        raise ValueError(f"interior preference must be 'lower' or 'upper', got {interior!r}")
+
+
+def transition_target(from_lane: int, lane_count: int, interior: str = "lower") -> int:
+    """Adjacent lane an overtaken vehicle moves to.
+
+    Edge lanes have one neighbour, so lane 1 moves to 2 and the top lane
+    moves down one.  Interior lanes prefer the lower-indexed neighbour by
+    default; pass interior="upper" to prefer the higher one.
+    """
+    check_interior(interior)
+    if not 1 <= from_lane <= lane_count:
+        raise ValueError(f"lane {from_lane} outside 1..{lane_count}")
+    if lane_count == 1:
+        raise NoAdjacentLane("a single-lane layout has no adjacent lane")
+    if from_lane == 1:
+        return 2
+    if from_lane == lane_count:
+        return lane_count - 1
+    return from_lane - 1 if interior == "lower" else from_lane + 1
 
 
 def build_lane_plan(vehicles: list[VehicleRecord]) -> tuple[dict[str, int], int]:
@@ -87,7 +156,7 @@ def count_transitions(
         raise PlanHasNoAdjacentLane(
             "overtaking pairs exist but the plan holds a single lane"
         )
-    # Exact ratios slow*head/(fast-slow) on integer speeds (see kinematics).
+    # Exact ratios slow*head/(fast-slow) on integer speeds (see the module docstring).
     scaled, _ = common_scale(chain.from_iterable(map(_PAIR_SPEEDS, pairings)))
     targets: dict[int, int] = {}
     events = []
@@ -168,6 +237,7 @@ def simulate_part1(
 ) -> SimulationReport:
     """Plan lanes by speed class and count overtaking transitions."""
     check_counting_mode(mode)
+    check_interior(interior)
     lane_of, lane_count = build_lane_plan(vehicles)
     if mode == "literal":
         count, events = literal_count(vehicles, lane_of, lane_count), ()

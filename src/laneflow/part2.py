@@ -12,7 +12,7 @@ rules, first match wins:
 
 Assignment folds over vehicles in arrival order (ties broken by input
 position).  The fold runs on integers: every speed is scaled by one common
-factor (kinematics.common_scale), each lane keeps a scaled total and a count,
+factor (part1.common_scale), each lane keeps a scaled total and a count,
 and the nearest rule compares |x - T/n| across lanes by cross-multiplying.
 Only the assignment is part2's own: it returns the same (id -> lane, lane
 count) shape as part1.build_lane_plan, and pairs, counts and lane statistics
@@ -24,8 +24,14 @@ from __future__ import annotations
 from .config import check_counting_mode
 from .domain import SimulationReport, Speed, VehicleRecord
 from .errors import EmptyStream, InvalidBudget
-from .kinematics import common_scale
-from .part1 import count_transitions, enumerate_overtake_pairs, lane_statistics, literal_count
+from .part1 import (
+    check_interior,
+    common_scale,
+    count_transitions,
+    enumerate_overtake_pairs,
+    lane_statistics,
+    literal_count,
+)
 
 
 def _nearest(x: int, populations: list[int], totals: list[int]) -> int:
@@ -92,6 +98,7 @@ def simulate_part2(
     """Grow lanes under a budget, then count transitions as the class planner does,
     with "same lane" meaning "same grown lane"."""
     check_counting_mode(mode)
+    check_interior(interior)
     lane_of, lane_count = assign_stream(vehicles, budget)
     if mode == "literal":
         count, events = literal_count(vehicles, lane_of, lane_count), ()

@@ -19,13 +19,12 @@ from typing import Iterable, Mapping
 
 from laneflow.domain import SimulationReport, Speed, TransitionEvent, VehicleRecord
 from laneflow.errors import EmptyStream, InvalidBudget, NoAdjacentLane, PlanHasNoAdjacentLane
-from laneflow.kinematics import exact, transition_target
-from laneflow.part1 import build_lane_plan, lane_statistics
+from laneflow.part1 import build_lane_plan, exact, lane_statistics, transition_target
 
 COUNTING_MODES = ("event", "literal")
 
 
-# Per-pair closed forms, on the exact speeds (see laneflow.kinematics for the
+# Per-pair closed forms, on the exact speeds (see laneflow.part1 for the
 # derivation).  The two agree exactly when the ratio is a positive integer;
 # otherwise catch_up_ticks = literal_overtake_count + 1.
 

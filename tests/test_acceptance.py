@@ -34,7 +34,7 @@ from laneflow import (
     synthesize_stream,
 )
 from laneflow.cli import EXIT_OK, main
-from laneflow.kinematics import exact
+from laneflow.part1 import exact
 from laneflow.refdata import load_token_samples
 from reference_planners import OvertakePair, catch_up_ticks, literal_overtake_count
 from test_refdata import load_sample_tables

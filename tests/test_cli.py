@@ -213,6 +213,16 @@ def test_compare_writes_three_files(capsys, tmp_path):
         assert str(out_dir / name) in out
 
 
+def test_compare_names_the_size_that_scales_to_no_vehicles(capsys, tmp_path):
+    # bundled row 1 scaled to 1 rounds every class to zero; 2 does not
+    out_dir = tmp_path / "tiny"
+    code, out, err = run(capsys, "compare", "--sizes", "1,2", "--runs", "1", "--out-dir", str(out_dir))
+    assert code == EXIT_MODEL
+    assert out == ""
+    assert err == "laneflow: scaling the source counts to size 1 rounded every class to zero\n"
+    assert not out_dir.exists()
+
+
 def test_compare_is_reproducible_across_invocations(capsys, tmp_path):
     for sub in ("a", "b"):
         code, _, _ = run(

@@ -54,6 +54,12 @@ def test_classify_overlap_edges_take_the_earlier_band():
     assert classify_speed(45.5) is SpeedClass.C
     assert classify_speed(50.5) is SpeedClass.D
     assert classify_speed(100.5) is SpeedClass.E
+    # the float neighbours of the upper edges 11, 31, 51 and 101
+    assert classify_speed(10.999999999999998) is SpeedClass.A
+    assert classify_speed(11.000000000000002) is SpeedClass.B
+    assert classify_speed(30.999999999999996) is SpeedClass.B
+    assert classify_speed(50.99999999999999) is SpeedClass.D
+    assert classify_speed(100.99999999999999) is SpeedClass.E
 
 
 def test_classify_fractions_follow_their_integer_floor():

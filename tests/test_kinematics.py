@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from laneflow import NoAdjacentLane, transition_target
+from laneflow import NoAdjacentLane
+from laneflow.part1 import transition_target
 from reference_planners import OvertakePair, catch_up_ticks, literal_overtake_count
 
 

@@ -8,19 +8,15 @@ import pytest
 
 from laneflow import (
     EmptyStream,
-    OvertakePairing,
     PlanHasNoAdjacentLane,
     VehicleRecord,
     build_lane_plan,
     classify_speed,
-    count_transitions,
-    enumerate_overtake_pairs,
     render_report,
     simulate_part1,
     simulate_part2,
 )
-from laneflow.kinematics import exact
-from laneflow.part1 import literal_count
+from laneflow.part1 import OvertakePairing, count_transitions, enumerate_overtake_pairs, exact, literal_count
 
 from conftest import make_stream
 
@@ -140,11 +136,21 @@ def test_count_transitions_empty():
 
 
 def test_unknown_mode_is_refused_before_any_work():
-    # an empty stream would raise EmptyStream if the planner ran first
-    with pytest.raises(ValueError, match="^must be 'event' or 'literal'$"):
-        simulate_part1([], "both")
-    with pytest.raises(ValueError, match="^must be 'event' or 'literal'$"):
-        simulate_part2([], 1, "both")
+    unknown_interior = "^interior preference must be 'lower' or 'upper', got 'sideways'$"
+    for vehicles in (
+        [],  # would raise EmptyStream if the planner ran first
+        stream((5, 0), (20, 1)),  # no pairs: would count 0 and make no event
+        stream((15, 0), (20, 1), (35, 2), (5, 0)),  # pairs: literal mode makes no event
+    ):
+        with pytest.raises(ValueError, match="^must be 'event' or 'literal'$"):
+            simulate_part1(vehicles, "both")
+        with pytest.raises(ValueError, match="^must be 'event' or 'literal'$"):
+            simulate_part2(vehicles, 1, "both")
+        for mode in ("event", "literal"):
+            with pytest.raises(ValueError, match=unknown_interior):
+                simulate_part1(vehicles, mode, "sideways")
+            with pytest.raises(ValueError, match=unknown_interior):
+                simulate_part2(vehicles, 2, mode, "sideways")
 
 
 def test_single_lane_with_pairs_is_contradictory():

@@ -23,7 +23,7 @@ from laneflow import (
     render_report,
     simulate_part2,
 )
-from laneflow.kinematics import exact
+from laneflow.part1 import exact
 
 from conftest import lane_speeds, make_stream
 
