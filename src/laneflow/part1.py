@@ -7,7 +7,8 @@ the leader.  Two counting modes exist because "number of overtakes" can be
 read two ways:
 
 * event   - one transition per pair, stamped with its catch-up tick
-            (enumerate_overtake_pairs, then count_transitions)
+            (enumerate_overtake_pairs yields plain (slow, fast, lane)
+            tuples, then count_transitions)
 * literal - per pair, every tick the follower is still at or behind the
             leader is counted; literal_count sums these straight from each
             lane's members and builds no pairs
@@ -39,23 +40,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
-from operator import attrgetter
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 from .config import check_counting_mode
 from .domain import SimulationReport, Speed, TransitionEvent, VehicleRecord
 from .errors import EmptyStream, NoAdjacentLane, PlanHasNoAdjacentLane
-
-_PAIR_SPEEDS = attrgetter("slow.speed", "fast.speed")
-
-
-class OvertakePairing(NamedTuple):
-    """A qualifying (leader, follower) pair and the lane they share."""
-
-    slow: VehicleRecord
-    fast: VehicleRecord
-    lane: int
 
 
 def exact(value: Speed) -> int | Fraction:
@@ -69,10 +58,13 @@ def common_scale(speeds: Iterable[Speed]) -> tuple[dict[Speed, int], int]:
     """Map each distinct speed to the integer exact(speed) * L, and return L.
 
     L is the least common multiple of the exact denominators, so it is 1
-    when every speed is an integer.  Equal speeds such as 35 and 35.0 share
-    one entry.
+    when every speed is an integer, and then each speed maps to itself.
+    Equal speeds such as 35 and 35.0 share one entry.
     """
-    exacts = {speed: exact(speed) for speed in set(speeds)}
+    distinct = set(speeds)
+    if all(type(speed) is int for speed in distinct):  # a bool takes the exact rule
+        return {speed: speed for speed in distinct}, 1
+    exacts = {speed: exact(speed) for speed in distinct}
     scale = math.lcm(1, *(q.denominator for q in exacts.values()))
     return {speed: q.numerator * (scale // q.denominator) for speed, q in exacts.items()}, scale
 
@@ -120,8 +112,9 @@ def build_lane_plan(vehicles: list[VehicleRecord]) -> tuple[dict[str, int], int]
 
 def enumerate_overtake_pairs(
     vehicles: list[VehicleRecord], lane_of: Mapping[str, int]
-) -> list[OvertakePairing]:
-    """Every ordered same-lane pair with a strictly faster, no-earlier follower.
+) -> list[tuple[VehicleRecord, VehicleRecord, int]]:
+    """Every ordered same-lane pair with a strictly faster, no-earlier follower,
+    as a plain (slow, fast, lane) tuple.
 
     lane_of maps each vehicle id to its lane.  Pairs come back
     lexicographically by (leader position, follower position) in the input
@@ -132,21 +125,25 @@ def enumerate_overtake_pairs(
     members: dict[int, list[tuple[Speed, int, VehicleRecord]]] = {}
     for v in vehicles:
         members.setdefault(lane_of[v.id], []).append((v.speed, v.arrival, v))
-    pairs: list[OvertakePairing] = []
+    pairs: list[tuple[VehicleRecord, VehicleRecord, int]] = []
     for slow in vehicles:
         lane = lane_of[slow.id]
         speed, arrival = slow.speed, slow.arrival
-        for fast_speed, fast_arrival, fast in members[lane]:
-            if speed < fast_speed and arrival <= fast_arrival:
-                pairs.append(OvertakePairing(slow, fast, lane))
+        pairs += [
+            (slow, fast, lane)
+            for fast_speed, fast_arrival, fast in members[lane]
+            if speed < fast_speed and arrival <= fast_arrival
+        ]
     return pairs
 
 
 def count_transitions(
-    pairings: Iterable[OvertakePairing], lane_count: int, interior: str = "lower"
+    pairings: Iterable[tuple[VehicleRecord, VehicleRecord, int]],
+    lane_count: int,
+    interior: str = "lower",
 ) -> tuple[int, tuple[TransitionEvent, ...]]:
-    """One transition event per qualifying pair, stamped with its catch-up
-    tick; returns (event count, events).
+    """One transition event per qualifying (slow, fast, lane) pair, stamped
+    with its catch-up tick; returns (event count, events).
 
     A plan with a single lane cannot host any transition: if pairs exist the
     situation is contradictory and PlanHasNoAdjacentLane is raised.
@@ -156,13 +153,17 @@ def count_transitions(
         raise PlanHasNoAdjacentLane(
             "overtaking pairs exist but the plan holds a single lane"
         )
-    # Exact ratios slow*head/(fast-slow) on integer speeds (see the module docstring).
-    scaled, _ = common_scale(chain.from_iterable(map(_PAIR_SPEEDS, pairings)))
+    # Exact ratios slow*head/(fast-slow) on integer speeds (see the module
+    # docstring), on one scale taken from the pairs' distinct speeds.
+    speeds = {slow.speed for slow, _, _ in pairings} | {fast.speed for _, fast, _ in pairings}
+    scaled, _ = common_scale(speeds)
     targets: dict[int, int] = {}
     events = []
+    new = tuple.__new__  # a TransitionEvent without NamedTuple's Python-level __new__
     for slow, fast, lane in pairings:
-        target = targets.get(lane)
-        if target is None:
+        try:
+            target = targets[lane]
+        except KeyError:
             target = targets[lane] = transition_target(lane, lane_count, interior)
         s = scaled[slow.speed]
         head, gain = fast.arrival - slow.arrival, scaled[fast.speed] - s
@@ -172,7 +173,7 @@ def count_transitions(
                 f"strictly faster (slow={slow.speed}, fast={fast.speed}) and arrive no earlier"
             )
         ticks = -(-s * head // gain)
-        events.append(TransitionEvent(fast.id, slow.id, lane, target, ticks if ticks > 1 else 1))
+        events.append(new(TransitionEvent, (fast.id, slow.id, lane, target, ticks if ticks > 1 else 1)))
     return len(events), tuple(events)
 
 

@@ -49,11 +49,32 @@ class SplitMix64:
             raise ValueError(f"empty range [{lo}, {hi}]")
         return lo + self.next_u64() % (hi - lo + 1)
 
+    def uniform_ints(self, k: int, lo: int, hi: int) -> list[int]:
+        """k uniform integers in [lo, hi]: the values and end state of k
+        uniform_int(lo, hi) calls, drawn in one batch."""
+        if hi < lo:
+            raise ValueError(f"empty range [{lo}, {hi}]")
+        span = hi - lo + 1
+        return [lo + z % span for z in self._next_u64s(k)]
+
     def shuffle(self, items: MutableSequence) -> None:
         """In-place Fisher-Yates shuffle, one draw per swap, high index down."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.uniform_int(0, i)
+        n = len(items)
+        for i, z in zip(range(n - 1, 0, -1), self._next_u64s(n - 1)):
+            j = z % (i + 1)  # uniform_int(0, i)
             items[i], items[j] = items[j], items[i]
+
+    def _next_u64s(self, k: int) -> list[int]:
+        """The next k outputs; the loop steps a local state and inlines _mix,
+        whose call would cost more than the draw."""
+        state, out = self._state, []
+        for _ in range(k):
+            state = (state + _GAMMA) & _MASK64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            out.append(z ^ (z >> 31))
+        self._state = state
+        return out
 
 
 def combine_seed(base: int, *coords: int) -> int:

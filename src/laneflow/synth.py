@@ -21,6 +21,7 @@ All randomness comes from a single SplitMix64 stream seeded by the config.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .config import check_at_least_one, check_setting, check_speed_range, check_u64
 from .domain import VehicleRecord
@@ -74,15 +75,9 @@ def synthesize_stream(counts: ClassCountVector, config: SynthConfig) -> list[Veh
     rng = SplitMix64(config.seed)
     speeds: list[int] = []
     for label, count in zip(counts.labels, counts.counts):
-        if count == 0:
-            continue
-        lo, hi = config.class_speed_range[label]
-        speeds.extend(rng.uniform_int(lo, hi) for _ in range(count))
-    arrivals: list[int] = []
-    tick = 0
-    for _ in speeds:
-        tick += rng.uniform_int(0, config.arrival_gap_max)
-        arrivals.append(tick)
+        if count > 0:
+            speeds += rng.uniform_ints(count, *config.class_speed_range[label])
+    arrivals = list(accumulate(rng.uniform_ints(len(speeds), 0, config.arrival_gap_max)))
     rng.shuffle(speeds)
     return [
         VehicleRecord(id=f"v{i + 1}", speed=speed, arrival=arrival)

@@ -15,11 +15,13 @@ counting kernels are also held to the oracle's per-pair closed forms on every
 integer pair of the grid that acceptance check 3/8 walks, and on decimal
 speeds.  The report writer is held
 to its spec, canonical_json(report_to_dict(report)), on every report the
-corpus gives.
+corpus gives.  part1.common_scale is held to the exact rule it shortcuts
+for integer speeds, on every stream of the corpus.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -27,6 +29,7 @@ import pytest
 import reference_planners as ref
 from conftest import lane_speeds
 from laneflow import PlanHasNoAdjacentLane, VehicleRecord, canonical_json, render_report, report_to_dict
+from laneflow.domain import TransitionEvent
 from laneflow import part1, part2
 
 STREAMS = 1000
@@ -96,6 +99,8 @@ def check_events(result, where):
     if kind != "ok":
         return
     for event in report.events:
+        # a plain tuple would compare equal, but report_to_dict reads the field names
+        assert type(event) is TransitionEvent, (where, event)
         assert abs(event.from_lane - event.to_lane) == 1, (where, event)
         assert 1 <= event.from_lane <= report.lane_count, (where, event)
         assert 1 <= event.to_lane <= report.lane_count, (where, event)
@@ -170,11 +175,37 @@ def test_writer_matches_its_spec_on_the_corpus():
     assert events > 10_000  # most reports carry events, not just empty lists
 
 
+def exact_scale(speeds):
+    """The exact rule: each distinct speed as exact(speed) * L, L the lcm of
+    the exact denominators."""
+    exacts = {s: part1.exact(s) for s in set(speeds)}
+    scale = math.lcm(1, *(q.denominator for q in exacts.values()))
+    return {s: int(q * scale) for s, q in exacts.items()}, scale
+
+
+def check_scale(speeds, where):
+    got, want = part1.common_scale(speeds), exact_scale(speeds)
+    assert got == want, where
+    # 35 == 35.0 == True, so equal maps could still differ in a key's or a value's type
+    assert [(type(k), type(v)) for k, v in got[0].items()] == [(type(k), int) for k in want[0]], where
+
+
+def test_integer_scale_matches_the_exact_rule():
+    integer_streams = 0
+    for seed in range(STREAMS):
+        speeds = [v.speed for v in corpus_stream(seed)]
+        integer_streams += all(type(s) is int for s in speeds)
+        check_scale(speeds, seed)
+    assert integer_streams >= STREAMS // len(KINDS)  # the int shortcut is taken
+    for speeds in ([35, 35.0], [35.0, 35], [35, 35.0, 40, 40.0, 7], [35.0], [35], [True, 2], []):
+        check_scale(speeds, speeds)
+
+
 def test_pairs_match_the_reference():
     for seed in range(STREAMS):
         vehicles = corpus_stream(seed)
         lane_of = {v.id: (i * 7 + seed) % 3 + 1 for i, v in enumerate(vehicles)}
-        got = [(p.slow, p.fast, p.lane) for p in part1.enumerate_overtake_pairs(vehicles, lane_of)]
+        got = part1.enumerate_overtake_pairs(vehicles, lane_of)
         want = [(p.slow, p.fast, p.lane) for p in ref.enumerate_pairs(vehicles, lane_of)]
         assert got == want, seed
 
@@ -251,7 +282,7 @@ def lane_one_pairings(triples):
     """(slow, fast, head) triples as overtaking pairs on lane 1 of a two-lane plan."""
     slow = {s: VehicleRecord(f"s{s}", s, 0) for s, _, _ in triples}
     fast = {(f, h): VehicleRecord(f"f{f}@{h}", f, h) for _, f, h in triples}
-    return [part1.OvertakePairing(slow[s], fast[f, h], 1) for s, f, h in triples]
+    return [(slow[s], fast[f, h], 1) for s, f, h in triples]
 
 
 def check_kernels_against_closed_forms(triples):

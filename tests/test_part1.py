@@ -9,14 +9,16 @@ import pytest
 from laneflow import (
     EmptyStream,
     PlanHasNoAdjacentLane,
+    TransitionEvent,
     VehicleRecord,
     build_lane_plan,
     classify_speed,
     render_report,
+    report_to_dict,
     simulate_part1,
     simulate_part2,
 )
-from laneflow.part1 import OvertakePairing, count_transitions, enumerate_overtake_pairs, exact, literal_count
+from laneflow.part1 import count_transitions, enumerate_overtake_pairs, exact, literal_count
 
 from conftest import make_stream
 
@@ -69,7 +71,10 @@ def test_lane_formation_rejects_bad_input():
 
 def test_pair_enumeration_guard():
     plan_and_pairs = lambda vs: enumerate_overtake_pairs(vs, build_lane_plan(vs)[0])
-    head_start = lambda pair: pair.fast.arrival - pair.slow.arrival
+
+    def head_start(pair):
+        slow, fast, _ = pair
+        return fast.arrival - slow.arrival
 
     caught_up = plan_and_pairs(stream((35, 0), (45, 1)))
     assert len(caught_up) == 1
@@ -87,7 +92,7 @@ def test_pair_enumeration_covers_all_ordered_pairs():
     # still be found, and order must follow input positions.
     vehicles = stream((40, 5), (45, 9), (35, 2))
     pairs = enumerate_overtake_pairs(vehicles, build_lane_plan(vehicles)[0])
-    labels = [(p.slow.id, p.fast.id) for p in pairs]
+    labels = [(slow.id, fast.id) for slow, fast, _ in pairs]
     assert labels == [("v1", "v2"), ("v3", "v1"), ("v3", "v2")]
 
 
@@ -122,8 +127,7 @@ def test_literal_count_three_vehicle_example():
 
 def test_count_transitions_rejects_non_overtaking_pairs():
     slow, fast, later_slow = stream((35, 0), (45, 1), (35, 2))
-    for bad in (OvertakePairing(fast, slow, 1), OvertakePairing(slow, slow, 1),
-                OvertakePairing(later_slow, fast, 1)):
+    for bad in ((fast, slow, 1), (slow, slow, 1), (later_slow, fast, 1)):
         with pytest.raises(ValueError):
             count_transitions([bad], 2)
 
@@ -166,6 +170,17 @@ def test_simulate_three_vehicle_example():
     assert report.transition_count == 1
     assert report.lane_population == {1: 2, 2: 1}
     assert report.lane_average_speed == {1: 40.0, 2: 5.0}
+
+
+def test_events_are_transition_events():
+    # a plain tuple would compare equal to the event, yet report_to_dict reads its field names
+    vehicles = stream((5, 0), (35, 0), (45, 1), (40, 2), (60, 0), (7, 3))
+    for report in (simulate_part1(vehicles), simulate_part2(vehicles, 3)):
+        assert report.events
+        assert all(type(e) is TransitionEvent for e in report.events), report.algorithm
+        assert [e["overtakerId"] for e in report_to_dict(report)["events"]] == [
+            e.overtaker_id for e in report.events
+        ]
 
 
 def test_simulate_single_vehicle():

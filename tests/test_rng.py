@@ -64,6 +64,40 @@ def test_uniform_int_rejects_empty_range():
         SplitMix64(1).uniform_int(5, 4)
 
 
+SEEDS = (0, 1, 42, 0xDEADBEEF, MASK)
+
+
+def test_uniform_ints_is_k_uniform_int_calls():
+    # the same values and the same end state, so later draws do not shift
+    for seed in SEEDS:
+        for lo, hi in ((3, 7), (4, 4), (0, 5), (1, 100), (-3, 3), (0, MASK)):
+            for k in (0, 1, 2, 17, 200):
+                batch, calls = SplitMix64(seed), SplitMix64(seed)
+                assert batch.uniform_ints(k, lo, hi) == [calls.uniform_int(lo, hi) for _ in range(k)]
+                assert batch.next_u64() == calls.next_u64(), (seed, lo, hi, k)
+
+
+def test_uniform_ints_refuses_an_empty_range_like_uniform_int():
+    for seed in SEEDS:
+        with pytest.raises(ValueError) as single:
+            SplitMix64(seed).uniform_int(5, 4)
+        for k in (0, 1, 3):  # refused whatever k, so a bad range never passes silently
+            batch = SplitMix64(seed)
+            with pytest.raises(ValueError) as batched:
+                batch.uniform_ints(k, 5, 4)
+            assert str(batched.value) == str(single.value) == "empty range [5, 4]"
+            assert batch.next_u64() == reference_stream(seed, 1)[0]  # nothing drawn
+
+
+def test_shuffle_draws_once_per_swap():
+    # n - 1 draws, then the stream carries on; lists of 0 and 1 items draw nothing
+    for seed in SEEDS:
+        for n in (0, 1, 2, 9, 50):
+            rng = SplitMix64(seed)
+            rng.shuffle(list(range(n)))
+            assert rng.next_u64() == reference_stream(seed, max(n, 1))[-1], (seed, n)
+
+
 def test_shuffle_is_a_seeded_permutation():
     items = list(range(30))
     first = items[:]
@@ -77,15 +111,15 @@ def test_shuffle_is_a_seeded_permutation():
 
 
 def test_shuffle_matches_fisher_yates_oracle():
-    items = list("abcdefgh")
-    draws = reference_stream(5150, len(items) - 1)
-    expected = items[:]
-    for offset, i in enumerate(range(len(items) - 1, 0, -1)):
-        j = draws[offset] % (i + 1)
-        expected[i], expected[j] = expected[j], expected[i]
-    shuffled = items[:]
-    SplitMix64(5150).shuffle(shuffled)
-    assert shuffled == expected
+    for seed, items in ((5150, list("abcdefgh")), *((s, list(range(40))) for s in SEEDS)):
+        draws = reference_stream(seed, len(items) - 1)
+        expected = items[:]
+        for offset, i in enumerate(range(len(items) - 1, 0, -1)):
+            j = draws[offset] % (i + 1)
+            expected[i], expected[j] = expected[j], expected[i]
+        shuffled = items[:]
+        SplitMix64(seed).shuffle(shuffled)
+        assert shuffled == expected, seed
 
 
 def test_combine_seed_is_deterministic_and_order_sensitive():
