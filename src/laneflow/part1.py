@@ -54,6 +54,23 @@ def exact(value: Speed) -> int | Fraction:
     return Fraction(str(value))
 
 
+def _ratio(value: Speed) -> tuple[int, int]:
+    """exact(value) as (numerator, denominator) in lowest terms.
+
+    A float whose shortest repr is plain positional, such as 35.3, is read
+    from its digits as 353 / 10 without building a Fraction; exponent forms
+    such as 5e-05, and any other value, go through exact.
+    """
+    if type(value) is float:
+        whole, dot, digits = repr(value).partition(".")
+        if dot and digits.isdigit():
+            numerator, denominator = int(whole + digits), 10 ** len(digits)
+            g = math.gcd(numerator, denominator)
+            return numerator // g, denominator // g
+    q = exact(value)
+    return q.numerator, q.denominator
+
+
 def common_scale(speeds: Iterable[Speed]) -> tuple[dict[Speed, int], int]:
     """Map each distinct speed to the integer exact(speed) * L, and return L.
 
@@ -64,9 +81,9 @@ def common_scale(speeds: Iterable[Speed]) -> tuple[dict[Speed, int], int]:
     distinct = set(speeds)
     if all(type(speed) is int for speed in distinct):  # a bool takes the exact rule
         return {speed: speed for speed in distinct}, 1
-    exacts = {speed: exact(speed) for speed in distinct}
-    scale = math.lcm(1, *(q.denominator for q in exacts.values()))
-    return {speed: q.numerator * (scale // q.denominator) for speed, q in exacts.items()}, scale
+    ratios = {speed: _ratio(speed) for speed in distinct}
+    scale = math.lcm(1, *(denominator for _, denominator in ratios.values()))
+    return {speed: n * (scale // d) for speed, (n, d) in ratios.items()}, scale
 
 
 INTERIORS = ("lower", "upper")  # which neighbour an interior lane's transitions target

@@ -9,8 +9,10 @@ files directly.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import secrets
+from itertools import groupby
 from pathlib import Path
 from typing import Any
 
@@ -56,22 +58,36 @@ class _Quoted(dict):
         return quoted
 
 
+_RUN = operator.itemgetter(1, 2, 3)  # an event's (overtaken_id, from_lane, to_lane)
+
+
 def render_report(report: SimulationReport) -> str:
     """canonical_json(report_to_dict(report)), without a dict per event.
 
-    The event keys are fixed, so each event is one f-string with its keys in
-    sorted order, and each vehicle id is quoted once.  The rest of the report
-    goes through canonical_json with an empty event list, and the joined
-    events take that list's place.
+    The event keys are fixed and sorted, so an event reads
+    {"catchUpTicks":T,"fromLane":F,"overtakenId":O,"overtakerId":R,"toLane":L}.
+    Each run of events with one (O, F, L), which count_transitions emits per
+    leader, formats its middle and tail once and joins into one string; each
+    vehicle id is quoted once.  The rest of the report goes through
+    canonical_json with an empty event list, and one join puts the runs in
+    that list's place, so the text is built once from the runs' strings.
     """
     left, _, right = canonical_json(_report_fields(report, [])).partition('"events":[]')
     q = _Quoted()
-    events = ",".join([
-        f'{{"catchUpTicks":{ticks},"fromLane":{from_lane},"overtakenId":{q[overtaken]},'
-        f'"overtakerId":{q[overtaker]},"toLane":{to_lane}}}'
-        for overtaker, overtaken, from_lane, to_lane, ticks in report.events
-    ])
-    return f'{left}"events":[{events}]{right}'
+    parts = [left, '"events":[']
+    lead = '{"catchUpTicks":'
+    for (overtaken, from_lane, to_lane), run in groupby(report.events, _RUN):
+        middle = f',"fromLane":{from_lane},"overtakenId":{q[overtaken]},"overtakerId":'
+        tail = f',"toLane":{to_lane}}}'
+        parts += (lead, (tail + ',{"catchUpTicks":').join([
+            f"{ticks}{middle}{q[overtaker]}" for overtaker, _, _, _, ticks in run
+        ]), tail)
+        lead = ',{"catchUpTicks":'
+    parts += ("]", right)
+    return "".join(parts)
+
+
+WRITE_SLICE = 1 << 16  # characters encoded and written at a time
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
@@ -79,8 +95,9 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 
     The text goes to a temporary file in the same directory, which then
     replaces path in one rename; a failed write removes the temporary file.
-    This guards against a failing or interrupted process, not against power
-    loss: nothing is fsynced.
+    The text is encoded and written WRITE_SLICE characters at a time, so no
+    encoded copy of the whole text is made.  This guards against a failing
+    or interrupted process, not against power loss: nothing is fsynced.
     """
     path = Path(path)
     temp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
@@ -88,7 +105,8 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for start in range(0, len(text), WRITE_SLICE):
+                fh.write(text[start:start + WRITE_SLICE])
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)

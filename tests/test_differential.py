@@ -201,6 +201,25 @@ def test_integer_scale_matches_the_exact_rule():
         check_scale(speeds, speeds)
 
 
+def test_decimal_scale_matches_the_exact_rule():
+    # plain positional floats are read from their digits, exponent forms
+    # such as 5e-05 through exact(); both must give the exact rule's scale
+    decimal_streams = 0
+    for seed in range(STREAMS):
+        speeds = [v.speed for v in corpus_stream(seed)]
+        if any(type(s) is float for s in speeds):
+            decimal_streams += 1
+            check_scale(speeds, seed)
+    assert decimal_streams >= 2 * STREAMS // len(KINDS)
+    singles = [35.0, 0.1, 50.5, 100.99, 0.30000000000000004, 5e-05, 1e-07]
+    for speeds in ([s] for s in singles):
+        check_scale(speeds, speeds)
+    for speeds in (singles, singles + [35, 7], [35, 35.0, 0.1], [35.0, 35, 1e-07], [2.5, 2.50, 97]):
+        check_scale(speeds, speeds)
+    scaled, scale = part1.common_scale([35, 35.0, 0.1])
+    assert len(scaled) == 2 and scale == 10 and scaled[35] == 350
+
+
 def test_pairs_match_the_reference():
     for seed in range(STREAMS):
         vehicles = corpus_stream(seed)
