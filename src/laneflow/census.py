@@ -17,12 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domain import parse_number
+from .domain import parse_number, read_csv
 from .errors import ParseError, RowUnusable
 from .stats import ClassCountVector
 
 MISSING_MARK = "-"
 MERGED_MARK = "A"
+_CENSUS_CELL = f"an integer, {MISSING_MARK!r} or {MERGED_MARK!r}"  # what a census count cell may hold
 
 
 @dataclass(frozen=True)
@@ -67,27 +68,36 @@ class CensusTable:
         return ClassCountVector(labels=self.labels, counts=tuple(c for c in row.counts if c is not None))
 
 
+def _class_labels(header: list[str], lineno: int, first: int) -> tuple[str, ...]:
+    """header[first:] as class labels; an empty label is refused at its column."""
+    labels = tuple(header[first:])
+    if "" in labels:
+        raise ParseError("header has an empty class label", lineno, first + labels.index("") + 1)
+    return labels
+
+
+def _count(cell: str, lineno: int, col: int, expected: str = "an integer") -> int:
+    """A count cell: the integer grammar of domain.parse_number, then >= 0."""
+    try:
+        value = parse_number(cell)
+    except ValueError:
+        raise ParseError(f"count {cell!r} is not {expected}", lineno, col) from None
+    if value < 0:
+        raise ParseError("counts cannot be negative", lineno, col)
+    return value
+
+
 def parse_census(text: str) -> CensusTable:
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
-        raise ParseError("empty census file", 1, 1)
-    header = [cell.strip() for cell in lines[0].split(",")]
+    lines = read_csv(text, "census")
+    header_line, header = next(lines)
     if len(header) < 2:
-        raise ParseError("census header needs a name column plus at least one class", 1, 1)
-    labels = tuple(header[1:])
-    if any(not label for label in labels):
-        raise ParseError("census header has an empty class label", 1, 1)
+        raise ParseError(
+            "census header needs a name column plus at least one class", header_line, 1
+        )
+    labels = _class_labels(header, header_line, 1)
     rows: list[CensusRow] = []
     seen: set[str] = set()
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        cells = [cell.strip() for cell in raw.split(",")]
-        if len(cells) != len(header):
-            raise ParseError(
-                f"expected {len(header)} columns, got {len(cells)}", lineno, 1
-            )
-        name = cells[0]
+    for lineno, (name, *cells) in lines:
         if not name:
             raise ParseError("empty row name", lineno, 1)
         if name in seen:
@@ -95,48 +105,28 @@ def parse_census(text: str) -> CensusTable:
         seen.add(name)
         counts: list[int | None] = []
         merged: list[str] = []
-        for col, (label, cell) in enumerate(zip(labels, cells[1:]), start=2):
+        for col, (label, cell) in enumerate(zip(labels, cells), start=2):
             if cell == MISSING_MARK:
                 counts.append(None)
             elif cell == MERGED_MARK:
                 counts.append(0)
                 merged.append(label)
             else:
-                try:
-                    value = parse_number(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"count {cell!r} is not an integer, {MISSING_MARK!r} or {MERGED_MARK!r}",
-                        lineno,
-                        col,
-                    ) from None
-                if value < 0:
-                    raise ParseError("counts cannot be negative", lineno, col)
-                counts.append(value)
+                counts.append(_count(cell, lineno, col, _CENSUS_CELL))
         rows.append(CensusRow(name=name, counts=tuple(counts), merged_into_cars=tuple(merged)))
     if not rows:
-        raise ParseError("census file has a header but no rows", 2, 1)
+        raise ParseError("census file has a header but no rows", header_line + 1, 1)
     return CensusTable(labels=labels, rows=tuple(rows))
 
 
 def parse_counts_file(text: str) -> ClassCountVector:
     """Parse the two-line counts format: a label header and one count row."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ParseError("empty counts file", 1, 1)
+    lines = list(read_csv(text, "counts"))
     if len(lines) != 2:
-        raise ParseError(f"expected a header line and one counts line, got {len(lines)} lines", 1, 1)
-    labels = tuple(cell.strip() for cell in lines[0].split(","))
-    cells = [cell.strip() for cell in lines[1].split(",")]
-    if len(cells) != len(labels):
-        raise ParseError(f"expected {len(labels)} counts, got {len(cells)}", 2, 1)
-    counts = []
-    for col, cell in enumerate(cells, start=1):
-        try:
-            value = parse_number(cell)
-        except ValueError:
-            raise ParseError(f"count {cell!r} is not an integer", 2, col) from None
-        if value < 0:
-            raise ParseError("counts cannot be negative", 2, col)
-        counts.append(value)
-    return ClassCountVector(labels=labels, counts=tuple(counts))
+        raise ParseError(
+            f"expected a header line and one counts line, got {len(lines)} lines", lines[-1][0], 1
+        )
+    (header_line, header), (lineno, cells) = lines
+    labels = _class_labels(header, header_line, 0)
+    counts = tuple(_count(cell, lineno, col) for col, cell in enumerate(cells, start=1))
+    return ClassCountVector(labels=labels, counts=counts)

@@ -15,7 +15,6 @@ correct merge order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -27,7 +26,7 @@ from .part1 import simulate_part1
 from .part2 import budget_from_part1, simulate_part2
 from .report import canonical_json, write_text_atomic
 from .rng import combine_seed
-from .stats import ClassCountVector, TrendFit, linear_trend, ordered_sum, scale_class_counts
+from .stats import ClassCountVector, TrendFit, class_count_sd, linear_trend, ordered_sum, scale_class_counts
 from .svgchart import Series, render_line_chart
 from .synth import SynthConfig, synthesize_stream
 
@@ -70,9 +69,8 @@ class CompareResult:
 
 
 def _aggregate(counts: tuple[int, ...]) -> SizeStats:
-    n = len(counts)
-    mean = ordered_sum(counts) / n
-    sd = math.sqrt(ordered_sum((c - mean) ** 2 for c in counts) / n)  # population SD over the runs
+    mean = ordered_sum(counts) / len(counts)
+    sd = class_count_sd(counts)  # population SD over the runs
     return SizeStats(mean=mean, sd=sd, min=min(counts), max=max(counts))
 
 

@@ -20,7 +20,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import EmptyStream, ParseError, SpeedOutOfModel
 
@@ -119,7 +119,8 @@ class SimulationReport:
 
 
 # ---------------------------------------------------------------------------
-# Vehicle stream file format: CSV with header  id,speed,arrival
+# Input files: one number grammar, one CSV reader, and the vehicle stream
+# format (CSV with header  id,speed,arrival)
 # ---------------------------------------------------------------------------
 
 VEHICLE_FILE_HEADER = ("id", "speed", "arrival")
@@ -140,27 +141,39 @@ def parse_number(text: str, decimal: bool = False) -> int | float:
     return float(text) if match[1] else int(text)
 
 
+def read_csv(text: str, what: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield each non-blank line of a CSV text as (file line number, stripped
+    cells), the header first.
+
+    Raises ParseError for a text without a non-blank line ("empty <what>
+    file") and for a line whose cell count differs from the header's.
+    """
+    width = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if raw.strip():
+            cells = [cell.strip() for cell in raw.split(",")]
+            if width is None:
+                width = len(cells)
+            elif len(cells) != width:
+                raise ParseError(f"expected {width} cells, got {len(cells)}", lineno, 1)
+            yield lineno, cells
+    if width is None:
+        raise ParseError(f"empty {what} file", 1, 1)
+
+
 def parse_vehicle_file(text: str) -> list[VehicleRecord]:
     """Parse the id,speed,arrival CSV format into validated records.
 
     Raises ParseError (with 1-based line/column) for structural problems and
     SpeedOutOfModel for well-formed rows whose speed the model rejects.
     """
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError("empty vehicle file", 1, 1)
-    header = tuple(cell.strip() for cell in lines[0].split(","))
-    if header != VEHICLE_FILE_HEADER:
-        raise ParseError(f"expected header {','.join(VEHICLE_FILE_HEADER)!r}", 1, 1)
+    lines = read_csv(text, "vehicle")
+    lineno, header = next(lines)
+    if tuple(header) != VEHICLE_FILE_HEADER:
+        raise ParseError(f"expected header {','.join(VEHICLE_FILE_HEADER)!r}", lineno, 1)
     records: list[VehicleRecord] = []
     seen: set[str] = set()
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        cells = [cell.strip() for cell in raw.split(",")]
-        if len(cells) != 3:
-            raise ParseError(f"expected 3 fields, got {len(cells)}", lineno, 1)
-        vid, speed_text, arrival_text = cells
+    for lineno, (vid, speed_text, arrival_text) in lines:
         if not vid:
             raise ParseError("empty vehicle id", lineno, 1)
         if vid in seen:

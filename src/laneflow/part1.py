@@ -39,6 +39,7 @@ integers agree with comparisons on the speeds.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -57,18 +58,10 @@ def exact(value: Speed) -> int | Fraction:
 def _ratio(value: Speed) -> tuple[int, int]:
     """exact(value) as (numerator, denominator) in lowest terms.
 
-    A float whose shortest repr is plain positional, such as 35.3, is read
-    from its digits as 353 / 10 without building a Fraction; exponent forms
-    such as 5e-05, and any other value, go through exact.
+    A float is read as the decimal of its shortest repr, so 35.3 gives
+    353 / 10 and 5e-05 gives 1 / 20000, without building a Fraction.
     """
-    if type(value) is float:
-        whole, dot, digits = repr(value).partition(".")
-        if dot and digits.isdigit():
-            numerator, denominator = int(whole + digits), 10 ** len(digits)
-            g = math.gcd(numerator, denominator)
-            return numerator // g, denominator // g
-    q = exact(value)
-    return q.numerator, q.denominator
+    return Decimal(repr(value) if type(value) is float else value).as_integer_ratio()
 
 
 def common_scale(speeds: Iterable[Speed]) -> tuple[dict[Speed, int], int]:

@@ -85,11 +85,19 @@ def test_structural_errors():
         parse_census("justonecolumn\n")
     with pytest.raises(ParseError):
         parse_census("city,Cars\n")
+    with pytest.raises(ParseError) as err:
+        parse_census("\ncity,Cars,,Buses\nSpringfield,1,2,3\n")
+    assert (err.value.line, err.value.column) == (2, 3)
+    with pytest.raises(ParseError) as err:
+        parse_census("\ncity,Cars\n\nSpringfield,1,2\n")
+    assert (err.value.line, err.value.column) == (4, 1)
 
 
 def test_blank_lines_are_skipped():
     table = parse_census("city,Cars\n\nSpringfield,5\n\n")
     assert len(table.rows) == 1
+    assert parse_census("\n \n" + SMALL) == parse_census(SMALL)
+    assert parse_counts_file("\n\nCars,Buses\n\n12,3\n") == parse_counts_file("Cars,Buses\n12,3\n")
 
 
 def test_counts_file_round_trip():
@@ -105,7 +113,13 @@ def test_counts_file_errors():
         parse_counts_file("Cars,Buses\n12\n")
     with pytest.raises(ParseError):
         parse_counts_file("Cars\n12\n34\n")
-    with pytest.raises(ParseError) as err:
-        parse_counts_file("Cars,Buses\n12,-3\n")
-    assert err.value.line == 2
-    assert err.value.column == 2
+    # positions are file lines, blank lines included; an empty label is refused as in the census
+    for text, line, column in [
+        ("Cars,Buses\n12,-3\n", 2, 2),
+        ("\nA,B\n\n1,x\n", 4, 2),
+        ("A,B\n\n\n1,2,3\n", 4, 1),
+        ("Cars,,Buses\n1,2,3\n", 1, 2),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_counts_file(text)
+        assert (err.value.line, err.value.column) == (line, column), text

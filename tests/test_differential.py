@@ -202,8 +202,8 @@ def test_integer_scale_matches_the_exact_rule():
 
 
 def test_decimal_scale_matches_the_exact_rule():
-    # plain positional floats are read from their digits, exponent forms
-    # such as 5e-05 through exact(); both must give the exact rule's scale
+    # floats are read as the decimal of their repr, positional (35.3) and
+    # exponent forms (5e-05) alike; both must give the exact rule's scale
     decimal_streams = 0
     for seed in range(STREAMS):
         speeds = [v.speed for v in corpus_stream(seed)]

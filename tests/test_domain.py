@@ -18,6 +18,7 @@ from laneflow import (
     parse_vehicle_file,
     render_vehicle_file,
 )
+from laneflow.domain import read_csv
 
 BANDS = {
     SpeedClass.A: range(1, 11),
@@ -141,6 +142,10 @@ def test_parse_flags_positions():
     assert err.value.line == 2
     assert err.value.column == 3
 
+    with pytest.raises(ParseError) as err:
+        parse_vehicle_file("\nid,speed,arrival\n\nv1,35,0,9\n")
+    assert (err.value.line, err.value.column) == (4, 1)
+
 
 def test_parse_structure_errors():
     with pytest.raises(ParseError):
@@ -160,6 +165,16 @@ def test_parse_structure_errors():
 def test_parse_skips_blank_lines_and_strips_spaces():
     parsed = parse_vehicle_file("id,speed,arrival\n\n v1 , 35 , 0 \n\nv2,40,1\n")
     assert [v.id for v in parsed] == ["v1", "v2"]
+    assert parse_vehicle_file("\n  \nid,speed,arrival\nv1,35,0\n") == parse_vehicle_file("id,speed,arrival\nv1,35,0\n")
+
+
+def test_read_csv_yields_file_lines_and_refuses_ragged_rows():
+    assert list(read_csv("\n a , b \n\n1,2\n", "test")) == [(2, ["a", "b"]), (4, ["1", "2"])]
+    for text in ("", "\n \n"):
+        with pytest.raises(ParseError, match="empty test file"):
+            list(read_csv(text, "test"))
+    with pytest.raises(ParseError, match=r"expected 2 cells, got 1 \(line 3, column 1\)"):
+        list(read_csv("a,b\n1,2\n3\n", "test"))
 
 
 def test_parse_rejects_model_violations_with_model_error():
