@@ -17,10 +17,7 @@ from .errors import (
     DegenerateDistribution,
     DegenerateFit,
     EmptyStream,
-    InvalidBudget,
-    InvalidSampleSize,
     LaneflowError,
-    NoAdjacentLane,
     ParseError,
     PlanHasNoAdjacentLane,
     RowUnusable,
@@ -48,10 +45,7 @@ __all__ = [
     "DegenerateFit",
     "EmptyStream",
     "EnsembleSpec",
-    "InvalidBudget",
-    "InvalidSampleSize",
     "LaneflowError",
-    "NoAdjacentLane",
     "ParseError",
     "PlanHasNoAdjacentLane",
     "RowUnusable",

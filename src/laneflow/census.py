@@ -69,10 +69,14 @@ class CensusTable:
 
 
 def _class_labels(header: list[str], lineno: int, first: int) -> tuple[str, ...]:
-    """header[first:] as class labels; an empty label is refused at its column."""
+    """header[first:] as class labels; an empty or repeated label is refused
+    at its column."""
     labels = tuple(header[first:])
-    if "" in labels:
-        raise ParseError("header has an empty class label", lineno, first + labels.index("") + 1)
+    for i, label in enumerate(labels):
+        if not label:
+            raise ParseError("header has an empty class label", lineno, first + i + 1)
+        if label in labels[:i]:
+            raise ParseError(f"class label {label!r} is repeated", lineno, first + i + 1)
     return labels
 
 

@@ -28,9 +28,11 @@ from pathlib import Path
 from .census import parse_census, parse_counts_file
 from .compare import EnsembleSpec, run_compare, write_outputs
 from .config import FileConfig, check_at_least_one, check_sample_sizes, check_u64, parse_config_text
-from .domain import ALGORITHMS, COUNTING_MODES, parse_number, parse_vehicle_file, render_vehicle_file
+from .domain import (
+    ALGORITHMS, COUNTING_MODES, INTERIORS, parse_number, parse_vehicle_file, render_vehicle_file,
+)
 from .errors import ConfigError, DegenerateDistribution, LaneflowError, ParseError
-from .part1 import INTERIORS, simulate_part1
+from .part1 import simulate_part1
 from .part2 import budget_from_part1, simulate_part2
 from .refdata import load_token_samples
 from .report import canonical_json, render_report, write_text_atomic

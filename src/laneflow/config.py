@@ -19,7 +19,8 @@ rejected with its line number.
 
 The rules themselves live here too, once each, and raise ValueError with a
 message that names no setting; whoever reads the value names it: a config
-line, a CLI flag, or a SynthConfig or EnsembleSpec field (check_setting).
+line, a CLI flag, a SynthConfig or EnsembleSpec field, or a planner or stats
+argument (check_setting).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
-from .domain import COUNTING_MODES, parse_number
+from .domain import COUNTING_MODES, INTERIORS, parse_number
 from .errors import ConfigError
 
 T = TypeVar("T")
@@ -51,6 +52,12 @@ def check_counting_mode(mode: str) -> str:
     if mode not in COUNTING_MODES:
         raise ValueError("must be " + " or ".join(map(repr, COUNTING_MODES)))
     return mode
+
+
+def check_interior(interior: str) -> str:
+    if interior not in INTERIORS:
+        raise ValueError("must be " + " or ".join(map(repr, INTERIORS)))
+    return interior
 
 
 def check_sample_sizes(sizes: tuple[int, ...]) -> tuple[int, ...]:

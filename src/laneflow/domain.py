@@ -28,6 +28,7 @@ Speed = int | float  # km/h; int preserved when the source text is integral
 
 ALGORITHMS = ("part1", "part2")  # the speed-class and the lane-budget planner
 COUNTING_MODES = ("event", "literal")  # part1.count_transitions or part1.literal_count
+INTERIORS = ("lower", "upper")  # which neighbour an interior lane's transitions target
 
 
 class SpeedClass(enum.IntEnum):

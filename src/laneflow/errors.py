@@ -2,7 +2,14 @@
 
 Everything raised deliberately by laneflow derives from LaneflowError, so
 callers (and the CLI) can split "the model rejected your input" from plain
-bugs.  Parse-level problems carry a 1-based line/column where known.
+bugs.  Parse-level problems carry a 1-based line/column where known.  A
+setting that breaks its rule (a budget, a sample size, a counting mode or
+an interior preference) raises ConfigError naming the argument, whether it
+came from a flag, a config line or a library call (config.check_setting).
+
+ValueError remains for data that breaks a function's own contract: a
+duplicate vehicle id, a pair that does not overtake, a VehicleRecord whose
+fields break its invariants.
 """
 
 from __future__ import annotations
@@ -20,20 +27,9 @@ class EmptyStream(LaneflowError):
     """An operation that needs at least one vehicle got none."""
 
 
-class NoAdjacentLane(LaneflowError):
-    """A one-lane layout has no adjacent lane to move into."""
-
-
 class PlanHasNoAdjacentLane(LaneflowError):
-    """The plan produced overtaking pairs but only a single lane exists."""
-
-
-class InvalidBudget(LaneflowError):
-    """Lane budget must be a positive integer."""
-
-
-class InvalidSampleSize(LaneflowError):
-    """Sample size must be a positive integer."""
+    """A single-lane plan has no adjacent lane, so it cannot host the
+    transitions its overtaking pairs call for."""
 
 
 class DegenerateDistribution(LaneflowError):

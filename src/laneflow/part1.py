@@ -43,9 +43,9 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .config import check_counting_mode
+from .config import check_counting_mode, check_interior, check_setting
 from .domain import SimulationReport, Speed, TransitionEvent, VehicleRecord
-from .errors import EmptyStream, NoAdjacentLane, PlanHasNoAdjacentLane
+from .errors import EmptyStream, PlanHasNoAdjacentLane
 
 
 def exact(value: Speed) -> int | Fraction:
@@ -79,26 +79,19 @@ def common_scale(speeds: Iterable[Speed]) -> tuple[dict[Speed, int], int]:
     return {speed: n * (scale // d) for speed, (n, d) in ratios.items()}, scale
 
 
-INTERIORS = ("lower", "upper")  # which neighbour an interior lane's transitions target
-
-
-def check_interior(interior: str) -> None:
-    if interior not in INTERIORS:
-        raise ValueError(f"interior preference must be 'lower' or 'upper', got {interior!r}")
-
-
 def transition_target(from_lane: int, lane_count: int, interior: str = "lower") -> int:
     """Adjacent lane an overtaken vehicle moves to.
 
     Edge lanes have one neighbour, so lane 1 moves to 2 and the top lane
     moves down one.  Interior lanes prefer the lower-indexed neighbour by
-    default; pass interior="upper" to prefer the higher one.
+    default; pass interior="upper" to prefer the higher one.  A single lane
+    has no neighbour: PlanHasNoAdjacentLane.
     """
-    check_interior(interior)
+    check_setting("interior", check_interior, interior)
     if not 1 <= from_lane <= lane_count:
         raise ValueError(f"lane {from_lane} outside 1..{lane_count}")
     if lane_count == 1:
-        raise NoAdjacentLane("a single-lane layout has no adjacent lane")
+        raise PlanHasNoAdjacentLane("a single-lane layout has no adjacent lane")
     if from_lane == 1:
         return 2
     if from_lane == lane_count:
@@ -247,8 +240,8 @@ def simulate_part1(
     vehicles: list[VehicleRecord], mode: str = "event", interior: str = "lower"
 ) -> SimulationReport:
     """Plan lanes by speed class and count overtaking transitions."""
-    check_counting_mode(mode)
-    check_interior(interior)
+    check_setting("mode", check_counting_mode, mode)
+    check_setting("interior", check_interior, interior)
     lane_of, lane_count = build_lane_plan(vehicles)
     if mode == "literal":
         count, events = literal_count(vehicles, lane_of, lane_count), ()

@@ -21,11 +21,10 @@ come from the same part1 functions the class planner uses.
 
 from __future__ import annotations
 
-from .config import check_counting_mode
+from .config import check_at_least_one, check_counting_mode, check_interior, check_setting
 from .domain import SimulationReport, Speed, VehicleRecord
-from .errors import EmptyStream, InvalidBudget
+from .errors import EmptyStream
 from .part1 import (
-    check_interior,
     common_scale,
     count_transitions,
     enumerate_overtake_pairs,
@@ -59,8 +58,7 @@ def assign_stream(vehicles: list[VehicleRecord], budget: int) -> tuple[dict[str,
     lane count), lanes numbered 1.. in the order they were grown."""
     if not vehicles:
         raise EmptyStream("cannot grow a knowledge base from an empty stream")
-    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
-        raise InvalidBudget(f"lane budget must be a positive integer, got {budget!r}")
+    check_setting("budget", check_at_least_one, budget)
     scaled, _ = common_scale(v.speed for v in vehicles)
     # Lane j (0-based) holds populations[j] vehicles whose scaled speeds sum
     # to totals[j].  lane_of_speed names the lane that first took each speed;
@@ -97,8 +95,8 @@ def simulate_part2(
 ) -> SimulationReport:
     """Grow lanes under a budget, then count transitions as the class planner does,
     with "same lane" meaning "same grown lane"."""
-    check_counting_mode(mode)
-    check_interior(interior)
+    check_setting("mode", check_counting_mode, mode)
+    check_setting("interior", check_interior, interior)
     lane_of, lane_count = assign_stream(vehicles, budget)
     if mode == "literal":
         count, events = literal_count(vehicles, lane_of, lane_count), ()

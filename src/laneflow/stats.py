@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DegenerateDistribution, DegenerateFit, InvalidSampleSize
+from .config import check_at_least_one, check_setting
+from .errors import DegenerateDistribution, DegenerateFit
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,7 @@ def _counts_of(counts: ClassCountVector | Sequence[int]) -> Sequence[int]:
 
 def size_biased_expectation(counts: ClassCountVector | Sequence[int], sample_size: int) -> float:
     """Expected class size seen by a uniformly chosen vehicle: sum(n_k^2) / N."""
-    if not isinstance(sample_size, int) or isinstance(sample_size, bool) or sample_size < 1:
-        raise InvalidSampleSize(f"sample size must be a positive integer, got {sample_size!r}")
+    check_setting("sample_size", check_at_least_one, sample_size)
     values = _counts_of(counts)
     return sum(c * c for c in values) / sample_size
 
@@ -74,8 +74,7 @@ def scale_class_counts(raw: ClassCountVector, target_n: int) -> ClassCountVector
     computed in exact integer arithmetic.  Cells round independently, so the
     output total can differ slightly from target_n.
     """
-    if not isinstance(target_n, int) or isinstance(target_n, bool) or target_n < 1:
-        raise InvalidSampleSize(f"target sample size must be a positive integer, got {target_n!r}")
+    check_setting("target_n", check_at_least_one, target_n)
     total = raw.total
     if total == 0:
         raise DegenerateDistribution("cannot scale an all-zero count vector")

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from laneflow.domain import SimulationReport, Speed, TransitionEvent, VehicleRecord
-from laneflow.errors import EmptyStream, InvalidBudget, NoAdjacentLane, PlanHasNoAdjacentLane
+from laneflow.errors import ConfigError, EmptyStream, PlanHasNoAdjacentLane
 from laneflow.part1 import build_lane_plan, exact, lane_statistics, transition_target
 
 COUNTING_MODES = ("event", "literal")
@@ -130,10 +130,7 @@ def count_transitions(
         return total, ()
     events = []
     for p in pairings:
-        try:
-            target = transition_target(p.lane, lane_count, interior)
-        except NoAdjacentLane as err:
-            raise PlanHasNoAdjacentLane(str(err)) from err
+        target = transition_target(p.lane, lane_count, interior)
         events.append(
             TransitionEvent(
                 overtaker_id=p.fast.id,
@@ -194,7 +191,7 @@ class KnowledgeBase:
 
 def kb_new(budget: int) -> KnowledgeBase:
     if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
-        raise InvalidBudget(f"lane budget must be a positive integer, got {budget!r}")
+        raise ConfigError("budget must be an integer of at least 1")
     return KnowledgeBase(lanes=(), budget=budget)
 
 

@@ -91,6 +91,13 @@ def test_structural_errors():
     with pytest.raises(ParseError) as err:
         parse_census("\ncity,Cars\n\nSpringfield,1,2\n")
     assert (err.value.line, err.value.column) == (4, 1)
+    with pytest.raises(ParseError, match="^empty row name") as err:
+        parse_census("city,Cars,Buses\n,10,20\n")
+    assert (err.value.line, err.value.column) == (2, 1)
+    # a label keys its speed.<Label> config line, so a repeat would be ambiguous
+    with pytest.raises(ParseError, match="^class label 'Cars' is repeated") as err:
+        parse_census("city,Cars,Buses,Cars\nX,10,20,30\n")
+    assert (err.value.line, err.value.column) == (1, 4)
 
 
 def test_blank_lines_are_skipped():
@@ -113,12 +120,15 @@ def test_counts_file_errors():
         parse_counts_file("Cars,Buses\n12\n")
     with pytest.raises(ParseError):
         parse_counts_file("Cars\n12\n34\n")
-    # positions are file lines, blank lines included; an empty label is refused as in the census
+    # positions are file lines, blank lines included; an empty or repeated label is refused
+    # as in the census
     for text, line, column in [
         ("Cars,Buses\n12,-3\n", 2, 2),
         ("\nA,B\n\n1,x\n", 4, 2),
         ("A,B\n\n\n1,2,3\n", 4, 1),
         ("Cars,,Buses\n1,2,3\n", 1, 2),
+        ("Cars,Cars\n10,20\n", 1, 2),
+        ("\nBuses,Cars,Buses\n1,2,3\n", 2, 3),
     ]:
         with pytest.raises(ParseError) as err:
             parse_counts_file(text)

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import xml.etree.ElementTree as ET
 
 import pytest
 
 from laneflow import cli, parse_vehicle_file
 from laneflow.cli import EXIT_FILE, EXIT_MODEL, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
+from laneflow.refdata import load_token_samples
+from laneflow.svgchart import HEIGHT, MARGIN_BOTTOM
 
 from conftest import fail_write_number
 
@@ -202,6 +205,19 @@ def test_stats_single_class(capsys, tmp_path):
     assert json.loads(out)["expectation"] == pytest.approx(20.0)
 
 
+@pytest.mark.parametrize("command, flag, text", [
+    ("stats", "--counts", "Cars,Cars\n10,20\n"),
+    ("sample", "--census", "city,Cars,Cars\nX,10,20\n"),
+], ids=["counts", "census"])
+def test_repeated_class_label_is_malformed_input(capsys, tmp_path, command, flag, text):
+    path = tmp_path / "table.csv"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, command, flag, str(path), "--n", "5")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("laneflow: class label 'Cars' is repeated (line 1, column ")
+
+
 def test_compare_writes_three_files(capsys, tmp_path):
     out_dir = tmp_path / "cmp"
     code, out, _ = run(
@@ -211,6 +227,26 @@ def test_compare_writes_three_files(capsys, tmp_path):
     for name in ("compare.csv", "compare.json", "compare.svg"):
         assert (out_dir / name).exists()
         assert str(out_dir / name) in out
+
+
+def test_compare_chart_of_all_zero_means_lies_on_the_x_axis(capsys, tmp_path):
+    # one speed for every class: no vehicle overtakes, so every mean is 0
+    config = tmp_path / "flat.conf"
+    config.write_text("".join(f"speed.{label} = 40\n" for label in load_token_samples().labels))
+    out_dir = tmp_path / "flat"
+    code, _, _ = run(
+        capsys, "compare", "--config", str(config), "--sizes", "8,12", "--runs", "2",
+        "--out-dir", str(out_dir),
+    )
+    assert code == EXIT_OK
+    series = json.loads((out_dir / "compare.json").read_text(encoding="utf-8"))["series"]
+    assert [cell["mean"] for runs in series.values() for cell in runs.values()] == [0, 0, 0, 0]
+    root = ET.fromstring((out_dir / "compare.svg").read_text(encoding="utf-8"))
+    polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
+    assert len(polylines) == 2
+    x_axis = f"{HEIGHT - MARGIN_BOTTOM:.2f}"
+    for polyline in polylines:
+        assert {pair.split(",")[1] for pair in polyline.get("points").split()} == {x_axis}
 
 
 def test_compare_names_the_size_that_scales_to_no_vehicles(capsys, tmp_path):

@@ -146,6 +146,10 @@ def test_parse_flags_positions():
         parse_vehicle_file("\nid,speed,arrival\n\nv1,35,0,9\n")
     assert (err.value.line, err.value.column) == (4, 1)
 
+    with pytest.raises(ParseError, match="^empty vehicle id") as err:
+        parse_vehicle_file("id,speed,arrival\n,10,0\n")
+    assert (err.value.line, err.value.column) == (2, 1)
+
 
 def test_parse_structure_errors():
     with pytest.raises(ParseError):

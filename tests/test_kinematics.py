@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from laneflow import NoAdjacentLane
+from laneflow import ConfigError, PlanHasNoAdjacentLane
 from laneflow.part1 import transition_target
 from reference_planners import OvertakePair, catch_up_ticks, literal_overtake_count
 
@@ -128,7 +128,7 @@ def test_transition_target_edges_and_interior():
 
 
 def test_transition_target_single_lane_rejected():
-    with pytest.raises(NoAdjacentLane):
+    with pytest.raises(PlanHasNoAdjacentLane):
         transition_target(1, 1)
 
 
@@ -137,7 +137,7 @@ def test_transition_target_validates_arguments():
         transition_target(0, 3)
     with pytest.raises(ValueError):
         transition_target(4, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="^interior must be 'lower' or 'upper'$"):
         transition_target(2, 3, interior="sideways")
 
 

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from laneflow import (
+    ConfigError,
     EmptyStream,
     PlanHasNoAdjacentLane,
     TransitionEvent,
@@ -140,20 +141,21 @@ def test_count_transitions_empty():
 
 
 def test_unknown_mode_is_refused_before_any_work():
-    unknown_interior = "^interior preference must be 'lower' or 'upper', got 'sideways'$"
+    unknown_mode = "^mode must be 'event' or 'literal'$"
+    unknown_interior = "^interior must be 'lower' or 'upper'$"
     for vehicles in (
         [],  # would raise EmptyStream if the planner ran first
         stream((5, 0), (20, 1)),  # no pairs: would count 0 and make no event
         stream((15, 0), (20, 1), (35, 2), (5, 0)),  # pairs: literal mode makes no event
     ):
-        with pytest.raises(ValueError, match="^must be 'event' or 'literal'$"):
+        with pytest.raises(ConfigError, match=unknown_mode):
             simulate_part1(vehicles, "both")
-        with pytest.raises(ValueError, match="^must be 'event' or 'literal'$"):
+        with pytest.raises(ConfigError, match=unknown_mode):
             simulate_part2(vehicles, 1, "both")
         for mode in ("event", "literal"):
-            with pytest.raises(ValueError, match=unknown_interior):
+            with pytest.raises(ConfigError, match=unknown_interior):
                 simulate_part1(vehicles, mode, "sideways")
-            with pytest.raises(ValueError, match=unknown_interior):
+            with pytest.raises(ConfigError, match=unknown_interior):
                 simulate_part2(vehicles, 2, mode, "sideways")
 
 

@@ -14,8 +14,8 @@ from fractions import Fraction
 import pytest
 
 from laneflow import (
+    ConfigError,
     EmptyStream,
-    InvalidBudget,
     PlanHasNoAdjacentLane,
     VehicleRecord,
     assign_stream,
@@ -44,7 +44,7 @@ def fold(budget, speeds):
 
 def test_budget_must_be_positive_integer():
     for bad in (0, -1, 2.0, True):
-        with pytest.raises(InvalidBudget):
+        with pytest.raises(ConfigError, match="^budget must be an integer of at least 1$"):
             assign_stream(stream((10, 0)), bad)
 
 

@@ -10,9 +10,9 @@ import pytest
 from laneflow.stats import ordered_sum
 from laneflow import (
     ClassCountVector,
+    ConfigError,
     DegenerateDistribution,
     DegenerateFit,
-    InvalidSampleSize,
     class_count_sd,
     linear_trend,
     scale_class_counts,
@@ -69,7 +69,7 @@ def test_expectation_lower_bound():
 
 def test_expectation_rejects_bad_sample_size():
     for bad in (0, -5, 2.0, True):
-        with pytest.raises(InvalidSampleSize):
+        with pytest.raises(ConfigError, match="^sample_size must be an integer of at least 1$"):
             size_biased_expectation(vector(1, 2), bad)
 
 
@@ -114,7 +114,7 @@ def test_scaling_cells_stay_within_half_of_quota():
 def test_scaling_rejects_degenerate_input():
     with pytest.raises(DegenerateDistribution):
         scale_class_counts(vector(0, 0, 0), 10)
-    with pytest.raises(InvalidSampleSize):
+    with pytest.raises(ConfigError, match="^target_n must be an integer of at least 1$"):
         scale_class_counts(RAW_ROW_1, 0)
 
 
