@@ -25,22 +25,22 @@ and spends floor(slow * head / gain) ticks at or behind it.
 count_transitions stamps each event with the first, -(-slow * head // gain)
 raised to at least 1; literal_count sums the second, slow * head // gain.
 
-All arithmetic is exact: a parsed "35.3" behaves as 353/10, never as its
-binary float.  common_scale maps every distinct speed of a stream to
-exact(speed) * L, where L is the least common multiple of the exact
-denominators (L = 1 for an integer stream).  Multiplying slow and fast by the
-same positive L leaves slow * head / gain unchanged, so its floor and ceiling
-are the same on the scaled integers as on the exact speeds; a running lane
-average is likewise the scaled total divided by the population and by L.
-Scaling also keeps the order of speeds, so speed comparisons on the scaled
-integers agree with comparisons on the speeds.
+All arithmetic is exact: a speed is read as the decimal it was written as,
+so a parsed "35.3" is 353/10, never its binary float.  common_scale maps
+every distinct speed of a stream to that rational times L, where L is the
+least common multiple of the denominators (L = 1 for an integer stream).
+Multiplying slow and fast by the same positive L leaves slow * head / gain
+unchanged, so its floor and ceiling are the same on the scaled integers as
+on the exact speeds; a running lane average is likewise the scaled total
+divided by the population and by L.  Scaling also keeps the order of
+speeds, so speed comparisons on the scaled integers agree with comparisons
+on the speeds.
 """
 
 from __future__ import annotations
 
 import math
 from decimal import Decimal
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .config import check_counting_mode, check_interior, check_setting
@@ -48,31 +48,25 @@ from .domain import SimulationReport, Speed, TransitionEvent, VehicleRecord
 from .errors import EmptyStream, PlanHasNoAdjacentLane
 
 
-def exact(value: Speed) -> int | Fraction:
-    """Exact rational view of a speed; floats get their decimal reading."""
-    if isinstance(value, int):
-        return value
-    return Fraction(str(value))
-
-
 def _ratio(value: Speed) -> tuple[int, int]:
-    """exact(value) as (numerator, denominator) in lowest terms.
+    """The speed's decimal as (numerator, denominator) in lowest terms.
 
     A float is read as the decimal of its shortest repr, so 35.3 gives
-    353 / 10 and 5e-05 gives 1 / 20000, without building a Fraction.
+    353 / 10 and 5e-05 gives 1 / 20000.
     """
     return Decimal(repr(value) if type(value) is float else value).as_integer_ratio()
 
 
 def common_scale(speeds: Iterable[Speed]) -> tuple[dict[Speed, int], int]:
-    """Map each distinct speed to the integer exact(speed) * L, and return L.
+    """Map each distinct speed to an integer, the speed times L, and return L.
 
-    L is the least common multiple of the exact denominators, so it is 1
-    when every speed is an integer, and then each speed maps to itself.
-    Equal speeds such as 35 and 35.0 share one entry.
+    A speed is read as the decimal it was written as, so 35.3 is 353/10.  L
+    is the least common multiple of those denominators, so it is 1 when
+    every speed is an integer, and then each speed maps to itself.  Equal
+    speeds such as 35 and 35.0 share one entry.
     """
     distinct = set(speeds)
-    if all(type(speed) is int for speed in distinct):  # a bool takes the exact rule
+    if all(type(speed) is int for speed in distinct):  # a bool goes through _ratio
         return {speed: speed for speed in distinct}, 1
     ratios = {speed: _ratio(speed) for speed in distinct}
     scale = math.lcm(1, *(denominator for _, denominator in ratios.values()))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import operator
 import os
-import secrets
 from itertools import groupby
 from pathlib import Path
 from typing import Any
@@ -100,7 +99,7 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     or interrupted process, not against power loss: nothing is fsynced.
     """
     path = Path(path)
-    temp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    temp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     # mode 0o666 lets the umask decide permissions, as for a plain open()
     fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:

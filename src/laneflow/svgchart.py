@@ -28,12 +28,10 @@ class Series:
 
 
 def _nice_step(span: float) -> float:
-    """A 1/2/5-family tick step giving roughly 4-6 ticks over the span."""
-    if span <= 0:
-        return 1.0
+    """A 1/2/5-family tick step giving roughly 4-6 ticks over a span > 0."""
     raw = span / 5
     magnitude = 10 ** math.floor(math.log10(raw))
-    for mult in (1, 2, 5, 10):
+    for mult in (1, 2, 5):
         if raw <= mult * magnitude:
             return mult * magnitude
     return 10 * magnitude
@@ -65,16 +63,13 @@ def render_line_chart(
     x_label: str,
     y_label: str,
 ) -> str:
-    """Render series as one SVG document string."""
+    """Render series as one SVG document string.  The points must span more
+    than one x value (compare charts two or more increasing sizes)."""
     points = [p for s in series for p in s.points]
-    if not points:
-        raise ValueError("nothing to chart")
     x_lo = min(p[0] for p in points)
     x_hi = max(p[0] for p in points)
     y_lo = min(0.0, min(p[1] for p in points))
     y_hi = max(p[1] for p in points)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1
     if y_hi == y_lo:
         y_hi = y_lo + 1
 

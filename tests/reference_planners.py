@@ -19,9 +19,16 @@ from typing import Iterable, Mapping
 
 from laneflow.domain import SimulationReport, Speed, TransitionEvent, VehicleRecord
 from laneflow.errors import ConfigError, EmptyStream, PlanHasNoAdjacentLane
-from laneflow.part1 import build_lane_plan, exact, lane_statistics, transition_target
+from laneflow.part1 import build_lane_plan, lane_statistics, transition_target
 
 COUNTING_MODES = ("event", "literal")
+
+
+def exact(value: Speed) -> int | Fraction:
+    """Exact rational view of a speed; floats get their decimal reading."""
+    if isinstance(value, int):
+        return value
+    return Fraction(str(value))
 
 
 # Per-pair closed forms, on the exact speeds (see laneflow.part1 for the

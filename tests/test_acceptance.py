@@ -34,9 +34,8 @@ from laneflow import (
     synthesize_stream,
 )
 from laneflow.cli import EXIT_OK, main
-from laneflow.part1 import exact
 from laneflow.refdata import load_token_samples
-from reference_planners import OvertakePair, catch_up_ticks, literal_overtake_count
+from reference_planners import OvertakePair, catch_up_ticks, exact, literal_overtake_count
 from test_refdata import load_sample_tables
 
 SIZES = (20, 25, 30, 40, 50)

@@ -6,16 +6,15 @@ arrivals and arrivals out of input order, lane budgets 1-7, both counting
 modes and both interior preferences.  Reports must render to the same bytes,
 part2's lane map must give the same assignment and each lane the same speeds
 as the oracle's knowledge base, and failures must raise the same exception
-with the same message.  Transition events and lane plans carry no checks of
-their own, so their invariants are asserted here on every report and plan the
-corpus produces, together with the default part2 budget, which must be the
-plan's lane count.  The literal kernel, part1.literal_count, is held to the
-oracle's literal count on the corpus under other lane maps as well.  Both
-counting kernels are also held to the oracle's per-pair closed forms on every
-integer pair of the grid that acceptance check 3/8 walks, and on decimal
-speeds.  The report writer is held
-to its spec, canonical_json(report_to_dict(report)), on every report the
-corpus gives.  part1.common_scale is held to the exact rule it shortcuts
+with the same message.  Transition events, reports and lane plans carry no
+checks of their own, so their invariants are asserted here on every report
+and plan the corpus produces, together with the default part2 budget, which
+must be the plan's lane count.  The literal kernel, part1.literal_count, is
+held to the oracle's literal count on the corpus under other lane maps as
+well.  Both counting kernels are also held to the oracle's per-pair closed
+forms on every integer pair of the grid that acceptance check 3/8 walks, and
+on decimal speeds.  The report writer is held to its spec,
+canonical_json(report_to_dict(report)), on every report the corpus gives.  part1.common_scale is held to the exact rule it shortcuts
 for integer speeds, on every stream of the corpus.
 """
 
@@ -29,7 +28,7 @@ import pytest
 import reference_planners as ref
 from conftest import lane_speeds
 from laneflow import PlanHasNoAdjacentLane, VehicleRecord, canonical_json, render_report, report_to_dict
-from laneflow.domain import TransitionEvent
+from laneflow.domain import ALGORITHMS, COUNTING_MODES, INTERIORS, TransitionEvent
 from laneflow import part1, part2
 
 STREAMS = 1000
@@ -157,28 +156,49 @@ def test_reports_match_the_reference():
             ), (seed, budget, mode, interior)
 
 
-def test_writer_matches_its_spec_on_the_corpus():
-    events = 0
+def corpus_reports():
+    """(where, report) for every report both planners give on the corpus, in
+    both counting modes and with both interior preferences."""
     for seed in range(STREAMS):
         vehicles = corpus_stream(seed)
         budget = 1 + seed % 7
-        for mode in ("event", "literal"):
-            for interior in ("lower", "upper"):
-                for kind, report in (
-                    outcome(part1.simulate_part1, vehicles, mode, interior),
-                    outcome(part2.simulate_part2, vehicles, budget, mode, interior),
+        for mode in COUNTING_MODES:
+            for interior in INTERIORS:
+                for algorithm, (kind, report) in (
+                    ("part1", outcome(part1.simulate_part1, vehicles, mode, interior)),
+                    ("part2", outcome(part2.simulate_part2, vehicles, budget, mode, interior)),
                 ):
                     if kind == "ok":
-                        where = (seed, report.algorithm, mode, interior)
-                        assert render_report(report) == canonical_json(report_to_dict(report)), where
-                        events += len(report.events)
+                        yield (seed, algorithm, mode, interior), report
+
+
+def test_writer_matches_its_spec_on_the_corpus():
+    events = 0
+    for where, report in corpus_reports():
+        assert render_report(report) == canonical_json(report_to_dict(report)), where
+        events += len(report.events)
     assert events > 10_000  # most reports carry events, not just empty lists
+
+
+def test_reports_keep_their_invariants_on_the_corpus():
+    """SimulationReport checks nothing itself; its two builders keep these."""
+    literal = 0
+    for where, report in corpus_reports():
+        assert report.algorithm in ALGORITHMS and report.algorithm == where[1], where
+        assert report.counting_mode in COUNTING_MODES and report.counting_mode == where[2], where
+        assert report.transition_count >= 0, where
+        if report.counting_mode == "event":
+            assert report.transition_count == len(report.events), where
+        else:
+            assert report.events == (), where
+            literal += report.transition_count > 0
+    assert literal > 1000  # literal counts are not all zero
 
 
 def exact_scale(speeds):
     """The exact rule: each distinct speed as exact(speed) * L, L the lcm of
     the exact denominators."""
-    exacts = {s: part1.exact(s) for s in set(speeds)}
+    exacts = {s: ref.exact(s) for s in set(speeds)}
     scale = math.lcm(1, *(q.denominator for q in exacts.values()))
     return {s: int(q * scale) for s, q in exacts.items()}, scale
 

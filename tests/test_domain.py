@@ -9,10 +9,8 @@ import pytest
 from laneflow import (
     EmptyStream,
     ParseError,
-    SimulationReport,
     SpeedClass,
     SpeedOutOfModel,
-    TransitionEvent,
     VehicleRecord,
     classify_speed,
     parse_vehicle_file,
@@ -89,23 +87,6 @@ def test_vehicle_record_validation():
         VehicleRecord(id="x", speed=30, arrival=1.5)
     with pytest.raises(ValueError):
         VehicleRecord(id="x", speed=30, arrival=True)
-
-
-def test_report_event_mode_count_must_match_events():
-    event = TransitionEvent(
-        overtaker_id="a", overtaken_id="b", from_lane=1, to_lane=2, catch_up_ticks=1
-    )
-    SimulationReport(
-        algorithm="part1", counting_mode="event", lane_count=2,
-        transition_count=1, events=(event,),
-    )
-    with pytest.raises(ValueError):
-        SimulationReport(
-            algorithm="part1", counting_mode="event", lane_count=2,
-            transition_count=2, events=(event,),
-        )
-    # literal mode carries no events, whatever the count
-    SimulationReport(algorithm="part1", counting_mode="literal", lane_count=2, transition_count=9)
 
 
 def test_parse_round_trip():

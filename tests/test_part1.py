@@ -19,9 +19,10 @@ from laneflow import (
     simulate_part1,
     simulate_part2,
 )
-from laneflow.part1 import count_transitions, enumerate_overtake_pairs, exact, literal_count
+from laneflow.part1 import count_transitions, enumerate_overtake_pairs, literal_count
 
 from conftest import make_stream
+from reference_planners import exact
 
 
 def stream(*speed_arrivals):

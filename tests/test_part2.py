@@ -23,9 +23,9 @@ from laneflow import (
     render_report,
     simulate_part2,
 )
-from laneflow.part1 import exact
 
 from conftest import lane_speeds, make_stream
+from reference_planners import exact
 
 
 def stream(*speed_arrivals):

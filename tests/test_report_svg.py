@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import pytest
 
@@ -17,7 +18,7 @@ from laneflow import (
     simulate_part1,
     simulate_part2,
 )
-from laneflow.svgchart import HEIGHT, WIDTH, Series, render_line_chart
+from laneflow.svgchart import HEIGHT, WIDTH, Series, _nice_step, _ticks, render_line_chart
 
 
 def sample_report():
@@ -139,3 +140,26 @@ def test_chart_coordinates_have_two_decimals():
         x, y = pair.split(",")
         assert len(x.rsplit(".", 1)[1]) == 2
         assert len(y.rsplit(".", 1)[1]) == 2
+
+
+def test_tick_step_is_the_smallest_nice_step_of_a_fifth_of_the_span():
+    # spans over six decades, powers of ten and the 1/2/5 boundaries included
+    spans = [m * 10**e for e in range(-2, 4) for m in (1, 1.5, 2, 3, 5, 7.5, 10, 25, 50)]
+    for span in spans:
+        raw = Fraction(repr(span)) / 5  # the span as written, not its binary float
+        magnitude = Fraction(1, 1000)  # then 10**floor(log10(raw))
+        while 10 * magnitude <= raw:
+            magnitude *= 10
+        want = min(m * magnitude for m in (1, 2, 5, 10) if m * magnitude >= raw)
+        assert _nice_step(span) == pytest.approx(float(want), rel=1e-12), span
+
+
+def test_ticks_reach_both_ends_of_the_range():
+    for lo, hi in ((0.0, 1.0), (20.0, 50.0), (0.0, 37.5), (20.0, 400.0), (3.0, 3.5), (0.0, 12345.0)):
+        step = _nice_step(hi - lo)
+        ticks = _ticks(lo, hi)
+        assert ticks == sorted(ticks) and len(ticks) >= 2, (lo, hi)
+        assert abs(ticks[0] - lo) <= step / 2 and abs(ticks[-1] - hi) <= step / 2, (lo, hi, ticks)
+        for end in (lo, hi):
+            if (end / step).is_integer():
+                assert end in ticks, (lo, hi, ticks)
