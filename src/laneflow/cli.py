@@ -12,9 +12,9 @@ Exit codes tell scripts what went wrong:
 
     0  success
     2  usage error (bad flags or arguments)
-    3  a file cannot be read or written (missing input, missing or
-       read-only output directory, disk full); the message names the path
-       given on the command line
+    3  a file or standard output cannot be read or written (missing input,
+       missing or read-only output directory, disk full); the message names
+       the path given on the command line, or standard output
     4  malformed input or config text
     5  the model rejected a well-formed input
 """
@@ -71,13 +71,14 @@ def _read_file(path: str) -> str:
 
 
 def _write_text(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
     try:
-        write_text_atomic(path, text)
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            write_text_atomic(path, text)
     except OSError as err:
-        raise _file_failure("write", path, err) from err
+        raise _file_failure("write", path or "standard output", err) from err
 
 
 def _row_counts(args: argparse.Namespace) -> ClassCountVector:
@@ -98,12 +99,11 @@ def _first_set(*values):
     return next(value for value in values if value is not None)
 
 
-def _synth_config(cfg: FileConfig, seed_flag: int | None, counts: ClassCountVector) -> SynthConfig:
+def _synth_config(cfg: FileConfig, counts: ClassCountVector) -> SynthConfig:
     cfg.check_speed_labels(counts.labels)
     return SynthConfig(
         class_speed_range={**DEFAULT_SPEED_RANGES, **cfg.speed_ranges},
         arrival_gap_max=_first_set(cfg.arrival_gap_max, DEFAULT_ARRIVAL_GAP_MAX),
-        seed=_first_set(seed_flag, cfg.seed, 0),
     )
 
 
@@ -155,8 +155,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         raise DegenerateDistribution(
             f"scaling row {args.row!r} to {args.n} rounded every class to zero"
         )
-    config = _synth_config(_load_config(args.config), args.seed, counts)
-    stream = synthesize_stream(scaled, config)
+    cfg = _load_config(args.config)
+    stream = synthesize_stream(scaled, _synth_config(cfg, counts), _first_set(args.seed, cfg.seed, 0))
     _write_text(args.out, render_vehicle_file(stream))
     return EXIT_OK
 
@@ -183,15 +183,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         base_seed=_first_set(args.base_seed, cfg.base_seed, 0),
         counting_mode=_first_set(args.mode, cfg.counting_mode, "event"),
         source_counts=counts,
-        synth=_synth_config(cfg, None, counts),
+        synth=_synth_config(cfg, counts),
     )
     result = run_compare(spec)
     try:
         written = write_outputs(result, args.out_dir)
     except OSError as err:
         raise _file_failure("write", args.out_dir, err) from err
-    for kind in ("csv", "json", "svg"):
-        sys.stdout.write(f"{written[kind]}\n")
+    _write_text(None, "".join(f"{written[kind]}\n" for kind in ("csv", "json", "svg")))
     return EXIT_OK
 
 

@@ -86,7 +86,7 @@ def run_compare(spec: EnsembleSpec) -> CompareResult:
         part2_counts: list[int] = []
         for run_index in range(spec.runs_per_size):
             seed = combine_seed(spec.base_seed, size_index, run_index)
-            stream = synthesize_stream(scaled, spec.synth.with_seed(seed))
+            stream = synthesize_stream(scaled, spec.synth, seed)
             part1_counts.append(simulate_part1(stream, spec.counting_mode).transition_count)
             budget = budget_from_part1(stream)
             part2_counts.append(

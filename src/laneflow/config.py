@@ -5,7 +5,7 @@ no nesting, no sections.  Recognized keys:
 
     speed.<class label> = lo-hi   inclusive speed range (or a single value)
     arrival_gap_max     = int     largest gap between consecutive arrivals
-    seed                = u64     synthesis seed (single runs)
+    seed                = u64     synthesis seed of sample (compare ignores it)
     sizes               = n,n,..  ensemble sample sizes, strictly increasing
     runs_per_size       = int     ensemble runs at each size
     base_seed           = u64     ensemble base seed
@@ -19,8 +19,8 @@ rejected with its line number.
 
 The rules themselves live here too, once each, and raise ValueError with a
 message that names no setting; whoever reads the value names it: a config
-line, a CLI flag, a SynthConfig or EnsembleSpec field, or a planner or stats
-argument (check_setting).
+line, a CLI flag, a SynthConfig or EnsembleSpec field, or a planner, synthesis
+or stats argument (check_setting).
 """
 
 from __future__ import annotations

@@ -40,18 +40,14 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        return _mix(self._state)
+        return self._next_u64s(1)[0]
 
     def uniform_int(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], both ends inclusive."""
-        if hi < lo:
-            raise ValueError(f"empty range [{lo}, {hi}]")
-        return lo + self.next_u64() % (hi - lo + 1)
+        return self.uniform_ints(1, lo, hi)[0]
 
     def uniform_ints(self, k: int, lo: int, hi: int) -> list[int]:
-        """k uniform integers in [lo, hi]: the values and end state of k
-        uniform_int(lo, hi) calls, drawn in one batch."""
+        """k uniform integers in [lo, hi], drawn in one batch; uniform_int draws one."""
         if hi < lo:
             raise ValueError(f"empty range [{lo}, {hi}]")
         span = hi - lo + 1

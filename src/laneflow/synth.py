@@ -15,7 +15,8 @@ inputs, reproducible in any language):
     3. one Fisher-Yates shuffle of the speed list
     4. ids v1..vn assigned to arrival slots in order
 
-All randomness comes from a single SplitMix64 stream seeded by the config.
+All randomness comes from a single SplitMix64 stream seeded by the seed
+argument; the config holds only what every run of an ensemble shares.
 """
 
 from __future__ import annotations
@@ -45,34 +46,27 @@ DEFAULT_ARRIVAL_GAP_MAX = 5
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Speed ranges, arrival spacing, and the seed for one synthesis run."""
+    """Speed ranges and arrival spacing, shared by every run; the seed is
+    synthesize_stream's own argument."""
 
     class_speed_range: dict[str, tuple[int, int]] = field(
         default_factory=lambda: dict(DEFAULT_SPEED_RANGES)
     )
     arrival_gap_max: int = DEFAULT_ARRIVAL_GAP_MAX
-    seed: int = 0
 
     def __post_init__(self) -> None:
         for label, bounds in self.class_speed_range.items():
             check_setting(f"speed range for {label!r}", check_speed_range, bounds)
         check_setting("arrival_gap_max", check_at_least_one, self.arrival_gap_max)
-        check_setting("seed", check_u64, self.seed)
-
-    def with_seed(self, seed: int) -> "SynthConfig":
-        return SynthConfig(
-            class_speed_range=dict(self.class_speed_range),
-            arrival_gap_max=self.arrival_gap_max,
-            seed=seed,
-        )
 
 
-def synthesize_stream(counts: ClassCountVector, config: SynthConfig) -> list[VehicleRecord]:
+def synthesize_stream(counts: ClassCountVector, config: SynthConfig, seed: int) -> list[VehicleRecord]:
     """Deterministically synthesize a stream with the given class multiplicities."""
+    check_setting("seed", check_u64, seed)
     for label, count in zip(counts.labels, counts.counts):
         if count > 0 and label not in config.class_speed_range:
             raise ConfigError(f"no speed range configured for class {label!r}")
-    rng = SplitMix64(config.seed)
+    rng = SplitMix64(seed)
     speeds: list[int] = []
     for label, count in zip(counts.labels, counts.counts):
         if count > 0:

@@ -318,7 +318,7 @@ def test_covering_budget_silences_knowledge_base_transitions(announce, info):
             scaled = scale_class_counts(raw, size)
             for run in range(runs_per_size):
                 seed = combine_seed(20260819, size_index, run)
-                stream = synthesize_stream(scaled, strict.with_seed(seed))
+                stream = synthesize_stream(scaled, strict, seed)
                 assert brute_pair_count(stream) == 0
                 assert simulate_part1(stream).transition_count == 0
                 auto = budget_from_part1(stream)
@@ -338,7 +338,7 @@ def test_covering_budget_silences_knowledge_base_transitions(announce, info):
             counts = []
             for run in range(runs_per_size):
                 seed = combine_seed(555_0001, size_index, run)
-                stream = synthesize_stream(scaled, spread.with_seed(seed))
+                stream = synthesize_stream(scaled, spread, seed)
                 part1 = simulate_part1(stream).transition_count
                 if brute_pair_count(stream) > 0:
                     pair_bearing_streams += 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import xml.etree.ElementTree as ET
 
@@ -162,6 +163,21 @@ def test_sample_config_overrides(capsys, tmp_path):
     assert all(90 <= v.speed <= 100 for v in vehicles)
 
 
+def test_sample_seed_comes_from_the_flag_then_the_config_then_zero(capsys, tmp_path):
+    config = tmp_path / "seed.conf"
+    config.write_text("seed = 5\n", encoding="utf-8")
+
+    def sample(*flags):
+        code, out, _ = run(capsys, "sample", "--n", "20", *flags)
+        assert code == EXIT_OK
+        return out
+
+    assert sample("--config", str(config)) == sample("--seed", "5")
+    assert sample("--config", str(config), "--seed", "6") == sample("--seed", "6")
+    assert sample("--seed", "6") != sample("--seed", "5")
+    assert sample() == sample("--seed", "0")
+
+
 def test_sample_all_zero_scaling_is_a_model_error(capsys, tmp_path):
     census = tmp_path / "census.csv"
     census.write_text(
@@ -292,6 +308,19 @@ def test_compare_flag_beats_config(capsys, tmp_path):
     assert payload["runsPerSize"] == 3
 
 
+def test_compare_ignores_the_sample_seed(capsys, tmp_path):
+    config = tmp_path / "seed.conf"
+    config.write_text("seed = 7\n", encoding="utf-8")
+    for sub, flags in (("plain", ()), ("seeded", ("--config", str(config)))):
+        code, _, _ = run(
+            capsys, "compare", "--sizes", "8,12", "--runs", "2", *flags,
+            "--out-dir", str(tmp_path / sub),
+        )
+        assert code == EXIT_OK
+    for name in ("compare.csv", "compare.json", "compare.svg"):
+        assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "seeded" / name).read_bytes()
+
+
 def test_compare_rejects_bad_sizes(capsys, tmp_path):
     code, _, err = run(capsys, "compare", "--sizes", "10,nope", "--out-dir", str(tmp_path))
     assert code == EXIT_USAGE
@@ -390,6 +419,27 @@ def test_unwritable_output_exits_3_naming_the_path(capsys, tmp_path, three_vehic
     assert "Traceback" not in err and ".tmp" not in err
     assert stdout == ""
     assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+
+
+class FullStdout:
+    """A standard output on a full disk: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("command", ["simulate", "sample", "stats", "compare"])
+def test_failed_write_to_standard_output_exits_3(capsys, tmp_path, three_vehicles, monkeypatch,
+                                                 command):
+    counts = tmp_path / "counts.csv"
+    counts.write_text("Cars,Buses\n2,1\n", encoding="utf-8")
+    argv = [arg.format(three=three_vehicles, counts=counts) for arg in WRITERS[command][:-1]]
+    if command == "compare":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    monkeypatch.setattr("sys.stdout", FullStdout())
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_FILE
+    assert err == "laneflow: cannot write standard output: No space left on device\n"
 
 
 # (command line with {} for the file, file text with {} for the number)

@@ -20,17 +20,15 @@ def test_default_config_is_valid():
 
 def test_stream_length_and_ids():
     counts = make_counts({"Cars": 3, "Trucks": 2})
-    stream = synthesize_stream(counts, SynthConfig(seed=9))
+    stream = synthesize_stream(counts, SynthConfig(), 9)
     assert len(stream) == 5
     assert [v.id for v in stream] == ["v1", "v2", "v3", "v4", "v5"]
 
 
 def test_multiplicities_with_disjoint_ranges():
     counts = make_counts({"slowpokes": 4, "speedsters": 6})
-    config = SynthConfig(
-        class_speed_range={"slowpokes": (1, 10), "speedsters": (60, 80)}, seed=3
-    )
-    stream = synthesize_stream(counts, config)
+    config = SynthConfig(class_speed_range={"slowpokes": (1, 10), "speedsters": (60, 80)})
+    stream = synthesize_stream(counts, config, 3)
     slow = sum(1 for v in stream if v.speed <= 10)
     fast = sum(1 for v in stream if 60 <= v.speed <= 80)
     assert (slow, fast) == (4, 6)
@@ -40,7 +38,7 @@ def test_multiplicities_with_disjoint_ranges():
 def test_single_vehicle_lands_in_its_class_range():
     counts = make_counts({"Cars": 1, "Trucks": 0})
     for seed in range(25):
-        stream = synthesize_stream(counts, SynthConfig(seed=seed))
+        stream = synthesize_stream(counts, SynthConfig(), seed)
         assert len(stream) == 1
         lo, hi = DEFAULT_SPEED_RANGES["Cars"]
         assert lo <= stream[0].speed <= hi
@@ -48,8 +46,8 @@ def test_single_vehicle_lands_in_its_class_range():
 
 def test_arrivals_are_cumulative_and_bounded():
     counts = make_counts({"Cars": 40})
-    config = SynthConfig(arrival_gap_max=3, seed=11)
-    stream = synthesize_stream(counts, config)
+    config = SynthConfig(arrival_gap_max=3)
+    stream = synthesize_stream(counts, config, 11)
     previous = 0
     for v in stream:
         assert v.arrival >= previous
@@ -59,28 +57,28 @@ def test_arrivals_are_cumulative_and_bounded():
 
 def test_identical_inputs_give_identical_streams():
     counts = make_counts({"Cars": 10, "Buses": 5})
-    first = synthesize_stream(counts, SynthConfig(seed=77))
-    second = synthesize_stream(counts, SynthConfig(seed=77))
+    first = synthesize_stream(counts, SynthConfig(), 77)
+    second = synthesize_stream(counts, SynthConfig(), 77)
     assert first == second
 
 
 def test_different_seeds_give_different_streams():
     counts = make_counts({"Cars": 10, "Buses": 5})
-    first = synthesize_stream(counts, SynthConfig(seed=1))
-    second = synthesize_stream(counts, SynthConfig(seed=2))
+    first = synthesize_stream(counts, SynthConfig(), 1)
+    second = synthesize_stream(counts, SynthConfig(), 2)
     assert first != second
 
 
 def test_zero_count_classes_need_no_range():
     counts = make_counts({"Cars": 2, "weird": 0})
-    stream = synthesize_stream(counts, SynthConfig(seed=5))
+    stream = synthesize_stream(counts, SynthConfig(), 5)
     assert len(stream) == 2
 
 
 def test_missing_range_for_nonzero_class():
     counts = make_counts({"hovercraft": 1})
     with pytest.raises(ConfigError):
-        synthesize_stream(counts, SynthConfig(seed=5))
+        synthesize_stream(counts, SynthConfig(), 5)
 
 
 def test_config_validation():
@@ -92,27 +90,20 @@ def test_config_validation():
         SynthConfig(class_speed_range={"Cars": (30, 20)})
     with pytest.raises(ConfigError):
         SynthConfig(arrival_gap_max=0)
-    with pytest.raises(ConfigError):
-        SynthConfig(seed=-1)
-    with pytest.raises(ConfigError):
-        SynthConfig(seed=1 << 64)
-    with pytest.raises(ConfigError):
-        SynthConfig(seed=1.5)  # SplitMix64 would fail on it at the first draw
+    counts = make_counts({"Cars": 2})
+    with pytest.raises(ConfigError, match="^seed "):
+        synthesize_stream(counts, SynthConfig(), -1)
+    with pytest.raises(ConfigError, match="^seed "):
+        synthesize_stream(counts, SynthConfig(), 1 << 64)
+    with pytest.raises(ConfigError, match="^seed "):
+        synthesize_stream(counts, SynthConfig(), 1.5)  # SplitMix64 would fail on it at the first draw
     # bool is an int subclass: True would pass as 1
     with pytest.raises(ConfigError, match="arrival_gap_max"):
         SynthConfig(arrival_gap_max=True)
-    with pytest.raises(ConfigError, match="seed"):
-        SynthConfig(seed=True)
-
-
-def test_with_seed_changes_only_the_seed():
-    base = SynthConfig(arrival_gap_max=9, seed=4)
-    derived = base.with_seed(10)
-    assert derived.seed == 10
-    assert derived.arrival_gap_max == 9
-    assert derived.class_speed_range == base.class_speed_range
+    with pytest.raises(ConfigError, match="^seed must fit in an unsigned 64-bit integer$"):
+        synthesize_stream(counts, SynthConfig(), True)
 
 
 def test_empty_stream_for_all_zero_counts():
     counts = make_counts({"Cars": 0})
-    assert synthesize_stream(counts, SynthConfig(seed=1)) == []
+    assert synthesize_stream(counts, SynthConfig(), 1) == []
