@@ -22,6 +22,8 @@ Exit codes tell scripts what went wrong:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from pathlib import Path
 
@@ -78,7 +80,10 @@ def _write_text(path: str | None, text: str) -> None:
         else:
             write_text_atomic(path, text)
     except OSError as err:
-        raise _file_failure("write", path or "standard output", err) from err
+        if path is None:  # point stdout at the null device, or its flush at exit fails again: exit 120
+            with contextlib.suppress(AttributeError, OSError, ValueError):  # a stream with no descriptor
+                os.dup2(fd2=sys.stdout.fileno(), fd=os.open(os.devnull, os.O_WRONLY))
+        raise _file_failure("write", "standard output" if path is None else path, err) from err
 
 
 def _row_counts(args: argparse.Namespace) -> ClassCountVector:
@@ -152,9 +157,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     counts = _row_counts(args)
     scaled = scale_class_counts(counts, args.n)
     if scaled.total == 0:
-        raise DegenerateDistribution(
-            f"scaling row {args.row!r} to {args.n} rounded every class to zero"
-        )
+        raise DegenerateDistribution(f"scaling row {args.row!r} to {args.n} rounded every class to zero")
     cfg = _load_config(args.config)
     stream = synthesize_stream(scaled, _synth_config(cfg, counts), _first_set(args.seed, cfg.seed, 0))
     _write_text(args.out, render_vehicle_file(stream))
@@ -236,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="ensemble comparison of both planners")
     p_cmp.add_argument("--sizes", type=_number_flag(check_sample_sizes, listed=True), default=None,
                        help="comma-separated sample sizes (default: 20,25,30,40,50)")
-    p_cmp.add_argument("--runs", type=_count_flag, default=None,
-                       help="runs per size (default: 100)")
+    p_cmp.add_argument("--runs", type=_count_flag, default=None, help="runs per size (default: 100)")
     p_cmp.add_argument("--base-seed", type=_number_flag(check_u64), default=None,
                        help="ensemble base seed (default: 0)")
     p_cmp.add_argument("--mode", choices=COUNTING_MODES, default=None)

@@ -99,7 +99,7 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     or interrupted process, not against power loss: nothing is fsynced.
     """
     path = Path(path)
-    temp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    temp = path.parent / f".{path.name}.{os.urandom(4).hex()}.tmp"  # with_name refuses "" and "."
     # mode 0o666 lets the umask decide permissions, as for a plain open()
     fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import errno
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -421,6 +425,16 @@ def test_unwritable_output_exits_3_naming_the_path(capsys, tmp_path, three_vehic
     assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
 
 
+@pytest.mark.parametrize("target", ["", "."])
+def test_an_out_path_with_no_file_name_exits_3_naming_it(capsys, tmp_path, monkeypatch, target):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(capsys, "sample", "--n", "20", "--out", target)
+    assert code == EXIT_FILE
+    assert err.startswith(f"laneflow: cannot write {target}: ")
+    assert stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 class FullStdout:
     """A standard output on a full disk: every write fails."""
 
@@ -440,6 +454,23 @@ def test_failed_write_to_standard_output_exits_3(capsys, tmp_path, three_vehicle
     code, _, err = run(capsys, *argv)
     assert code == EXIT_FILE
     assert err == "laneflow: cannot write standard output: No space left on device\n"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a device that refuses every write")
+def test_failed_write_to_a_buffered_standard_output_exits_3(tmp_path):
+    # a real block-buffered stdout keeps the unwritten bytes, which the interpreter
+    # flushes again at exit; that second failure must not add a message or exit 120
+    counts = tmp_path / "counts.csv"
+    counts.write_text("Cars,Buses\n2,1\n", encoding="utf-8")
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "laneflow.cli", "stats", "--counts", str(counts), "--n", "5"],
+            stdout=full, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    assert done.returncode == EXIT_FILE
+    assert done.stderr == "laneflow: cannot write standard output: No space left on device\n"
 
 
 # (command line with {} for the file, file text with {} for the number)

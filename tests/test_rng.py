@@ -68,13 +68,17 @@ SEEDS = (0, 1, 42, 0xDEADBEEF, MASK)
 
 
 def test_uniform_ints_is_k_uniform_int_calls():
-    # the same values and the same end state, so later draws do not shift
+    # the same values as the reference draws taken into [lo, hi], and the same end
+    # state, so later draws do not shift
     for seed in SEEDS:
         for lo, hi in ((3, 7), (4, 4), (0, 5), (1, 100), (-3, 3), (0, MASK)):
             for k in (0, 1, 2, 17, 200):
+                draws = reference_stream(seed, k + 1)
+                expected = [lo + z % (hi - lo + 1) for z in draws[:k]]
                 batch, calls = SplitMix64(seed), SplitMix64(seed)
-                assert batch.uniform_ints(k, lo, hi) == [calls.uniform_int(lo, hi) for _ in range(k)]
-                assert batch.next_u64() == calls.next_u64(), (seed, lo, hi, k)
+                assert batch.uniform_ints(k, lo, hi) == expected, (seed, lo, hi, k)
+                assert [calls.uniform_int(lo, hi) for _ in range(k)] == expected, (seed, lo, hi, k)
+                assert batch.next_u64() == calls.next_u64() == draws[k], (seed, lo, hi, k)
 
 
 def test_uniform_ints_refuses_an_empty_range_like_uniform_int():
