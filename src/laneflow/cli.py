@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import os
 import sys
 from pathlib import Path
@@ -253,11 +254,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    The cyclic garbage collector is paused while the command runs: the
+    planners and writers build no reference cycles (a corpus test in
+    tests/test_differential.py holds this), so reference counting frees
+    everything, and the collector would only re-walk every pair and event to
+    find nothing.  The caller's collector state is put back on every exit,
+    an escaping exception included.  Library callers may wrap large runs the
+    same way.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return int(err.code) if err.code is not None else EXIT_OK
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except UsageError as err:
@@ -272,6 +285,9 @@ def main(argv: list[str] | None = None) -> int:
     except LaneflowError as err:
         print(f"laneflow: {err}", file=sys.stderr)
         return EXIT_MODEL
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def entrypoint() -> None:

@@ -1,8 +1,10 @@
-"""Shared helpers: seeded random vehicle streams for property tests, and each
-lane's speeds under a lane map."""
+"""Shared helpers: seeded random vehicle streams for property tests, each
+lane's speeds under a lane map, and a pause of the cyclic garbage collector."""
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import random
 
 from laneflow import VehicleRecord
@@ -68,3 +70,15 @@ def fail_write_number(monkeypatch, failing: int) -> None:
         return HalfWriter(fh) if len(calls) == failing else fh
 
     monkeypatch.setattr(report, "open", patched_open, raising=False)
+
+
+@contextlib.contextmanager
+def collector_paused():
+    """The cyclic garbage collector off for the block, then as it was before."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import gc
 import json
 import os
 import subprocess
@@ -17,7 +18,7 @@ from laneflow.cli import EXIT_FILE, EXIT_MODEL, EXIT_OK, EXIT_PARSE, EXIT_USAGE,
 from laneflow.refdata import load_token_samples
 from laneflow.svgchart import HEIGHT, MARGIN_BOTTOM
 
-from conftest import fail_write_number
+from conftest import collector_paused, fail_write_number
 
 THREE = "id,speed,arrival\nv1,35,0\nv2,45,1\nv3,5,0\n"
 
@@ -594,3 +595,62 @@ def test_a_leading_byte_order_mark_is_dropped(capsys, tmp_path, flag):
         assert code == EXIT_OK, (name, err)
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The cyclic garbage collector switched on or off for the test."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+# simulate --algo ALGO on an input file holding TEXT (None: no file) -> exit code
+COLLECTOR_EXITS = {
+    "exit 0": ("part1", THREE, EXIT_OK),
+    "exit 2": ("part3", THREE, EXIT_USAGE),  # argparse refuses it before the command runs
+    "exit 3": ("part1", None, EXIT_FILE),
+    "exit 4": ("part1", "id,speed,arrival\nv1,fast,0\n", EXIT_PARSE),
+    "exit 5": ("part1", "id,speed,arrival\nv1,150,0\n", EXIT_MODEL),
+}
+
+
+@pytest.mark.parametrize("case", COLLECTOR_EXITS)
+def test_main_restores_the_collector_on_every_exit_code(capsys, tmp_path, collector, case):
+    algo, text, expected = COLLECTOR_EXITS[case]
+    path = tmp_path / "input.csv"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    code, _, _ = run(capsys, "simulate", "--algo", algo, "--input", str(path))
+    assert code == expected
+    assert gc.isenabled() is collector
+
+
+def test_main_restores_the_collector_when_an_exception_escapes(three_vehicles, monkeypatch,
+                                                               collector):
+    def crash(*_args, **_kwargs):
+        raise RuntimeError("planner crashed")
+
+    monkeypatch.setattr(cli, "simulate_part1", crash)
+    with pytest.raises(RuntimeError, match="planner crashed"):
+        main(["simulate", "--algo", "part1", "--input", str(three_vehicles)])
+    assert gc.isenabled() is collector
+
+
+def test_a_command_leaves_the_collector_as_much_at_any_stream_size(tmp_path):
+    """main pauses the cyclic collector, so a command must build no cycle per
+    vehicle: what the collector finds after it (the argument parser) is the
+    same at n = 20 and n = 400."""
+    found = {}
+    with collector_paused():
+        for n in (20, 400):
+            stream = tmp_path / f"n{n}.csv"
+            assert main(["sample", "--n", str(n), "--out", str(stream)]) == EXIT_OK
+            for algo in ("part1", "part2"):
+                gc.collect()
+                out = tmp_path / f"n{n}-{algo}.json"
+                argv = ["simulate", "--algo", algo, "--input", str(stream), "--out", str(out)]
+                assert main(argv) == EXIT_OK
+                found[algo, n] = gc.collect()
+    assert len(set(found.values())) == 1, found

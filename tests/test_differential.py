@@ -15,21 +15,28 @@ well.  Both counting kernels are also held to the oracle's per-pair closed
 forms on every integer pair of the grid that acceptance check 3/8 walks, and
 on decimal speeds.  The report writer is held to its spec,
 canonical_json(report_to_dict(report)), on every report the corpus gives.  part1.common_scale is held to the exact rule it shortcuts
-for integer speeds, on every stream of the corpus.
+for integer speeds, on every stream of the corpus.  Nothing the planners,
+the writer or an ensemble build may form a reference cycle, since the CLI
+runs each command with the cyclic garbage collector paused.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 
 import pytest
 
 import reference_planners as ref
-from conftest import lane_speeds
-from laneflow import PlanHasNoAdjacentLane, VehicleRecord, canonical_json, render_report, report_to_dict
+from conftest import collector_paused, lane_speeds
+from laneflow import (
+    EnsembleSpec, PlanHasNoAdjacentLane, SynthConfig, VehicleRecord, canonical_json, render_report,
+    report_to_dict, run_compare,
+)
 from laneflow.domain import ALGORITHMS, COUNTING_MODES, INTERIORS, TransitionEvent
 from laneflow import part1, part2
+from laneflow.refdata import load_token_samples
 
 STREAMS = 1000
 KINDS = ("integer", "one-decimal", "two-decimal", "mixed", "twins")
@@ -193,6 +200,24 @@ def test_reports_keep_their_invariants_on_the_corpus():
             assert report.events == (), where
             literal += report.transition_count > 0
     assert literal > 1000  # literal counts are not all zero
+
+
+def test_planners_writer_and_ensembles_leave_no_reference_cycles():
+    """cli.main pauses the cyclic collector, so reference counting alone must
+    free every report, rendered text, refusal and ensemble result."""
+    counts = load_token_samples().usable_counts("1")
+    gc.collect()
+    with collector_paused():
+        reports = 0
+        for _, report in corpus_reports():
+            render_report(report)
+            reports += 1
+        for mode in COUNTING_MODES:
+            run_compare(EnsembleSpec((20, 25), 2, 0, mode, counts, SynthConfig()))
+        del report
+        found = gc.collect()
+    assert reports > 7000  # both planners, both modes, both interiors
+    assert found == 0
 
 
 def exact_scale(speeds):
