@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import gc
 import os
 import sys
@@ -83,7 +84,11 @@ def _write_text(path: str | None, text: str) -> None:
     except OSError as err:
         if path is None:  # point stdout at the null device, or its flush at exit fails again: exit 120
             with contextlib.suppress(AttributeError, OSError, ValueError):  # a stream with no descriptor
-                os.dup2(fd2=sys.stdout.fileno(), fd=os.open(os.devnull, os.O_WRONLY))
+                null = os.open(os.devnull, os.O_WRONLY)
+                try:
+                    os.dup2(null, sys.stdout.fileno())
+                finally:
+                    os.close(null)
         raise _file_failure("write", "standard output" if path is None else path, err) from err
 
 
@@ -203,7 +208,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `laneflow` parser, built on the first call and shared after it.
+
+    Parsing reads the parser and never changes it: each `parse_args` returns a
+    fresh namespace, and `--help` takes its width and `sys.stdout` when it
+    prints.  So every `main` call in a process can use the one parser.
+    """
     parser = argparse.ArgumentParser(
         prog="laneflow",
         description="Deterministic traffic lane planning and comparison harness.",
@@ -256,6 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code.
 
+    The argument parser is built by the first call in a process, not at
+    import, and every later call reuses it; a caller that runs many commands
+    in one process (a script, the benchmark, the tests) pays for it once.
+
     The cyclic garbage collector is paused while the command runs: the
     planners and writers build no reference cycles (a corpus test in
     tests/test_differential.py holds this), so reference counting frees
@@ -264,9 +280,8 @@ def main(argv: list[str] | None = None) -> int:
     an escaping exception included.  Library callers may wrap large runs the
     same way.
     """
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as err:
         return int(err.code) if err.code is not None else EXIT_OK
     was_enabled = gc.isenabled()

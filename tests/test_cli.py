@@ -474,6 +474,21 @@ def test_failed_write_to_a_buffered_standard_output_exits_3(tmp_path):
     assert done.stderr == "laneflow: cannot write standard output: No space left on device\n"
 
 
+@pytest.mark.skipif(not (Path("/proc/self/fd").is_dir() and Path("/dev/full").exists()),
+                    reason="needs /proc/self/fd and a device that refuses every write")
+def test_a_failed_write_to_standard_output_leaves_no_descriptor_open(tmp_path, monkeypatch):
+    # main points the failed stdout at the null device; the descriptor it
+    # opens for that must be closed again, or each in-process failure leaks one
+    counts = tmp_path / "counts.csv"
+    counts.write_text("Cars,Buses\n2,1\n", encoding="utf-8")
+    with open("/dev/full", "w") as full:
+        monkeypatch.setattr("sys.stdout", full)
+        before = len(os.listdir("/proc/self/fd"))
+        assert main(["stats", "--counts", str(counts), "--n", "5"]) == EXIT_FILE
+        after = len(os.listdir("/proc/self/fd"))
+    assert after == before
+
+
 # (command line with {} for the file, file text with {} for the number)
 NUMBER_FIELDS = {
     "vehicle speed": (("simulate", "--algo", "part1", "--input", "{}"),
@@ -507,6 +522,47 @@ def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "simulate" in out and "compare" in out
+
+
+def test_a_fresh_import_builds_no_parser():
+    probe = "import laneflow.cli as cli; print(cli.build_parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")
+
+
+# main reuses one parser for every call in a process: no call may see another's flags
+def test_simulate_without_budget_does_not_keep_the_last_budget(capsys, three_vehicles, tmp_path):
+    argv = ["simulate", "--algo", "part2", "--input", str(three_vehicles)]
+    assert main([*argv, "--budget", "1", "--out", str(tmp_path / "one.json")]) == EXIT_MODEL
+    assert main([*argv, "--out", str(tmp_path / "default.json")]) == EXIT_OK
+    assert main([*argv, "--budget", "auto", "--out", str(tmp_path / "auto.json")]) == EXIT_OK
+    capsys.readouterr()
+    assert (tmp_path / "default.json").read_bytes() == (tmp_path / "auto.json").read_bytes()
+
+
+def test_compare_without_sizes_does_not_keep_the_last_sizes(capsys, tmp_path):
+    argv = ["compare", "--runs", "1", "--out-dir"]
+    assert main([*argv, str(tmp_path / "a"), "--sizes", "20,25"]) == EXIT_OK
+    assert main([*argv, str(tmp_path / "b")]) == EXIT_OK
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "b" / "compare.json").read_text(encoding="utf-8"))
+    assert summary["sampleSizes"] == [20, 25, 30, 40, 50]
+
+
+def test_a_refused_call_leaves_the_next_call_free(capsys, three_vehicles):
+    assert main(["simulate", "--algo", "part3", "--input", str(three_vehicles)]) == EXIT_USAGE
+    assert main(["simulate", "--algo", "part1", "--input", str(three_vehicles)]) == EXIT_OK
+    capsys.readouterr()
+
+
+def test_help_prints_the_same_text_each_call(capsys):
+    texts = []
+    for _ in range(2):
+        assert main(["--help"]) == EXIT_OK
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
 
 
 # (command line with {} for the flag's value), keyed "<command> <flag>"
@@ -639,9 +695,9 @@ def test_main_restores_the_collector_when_an_exception_escapes(three_vehicles, m
 
 
 def test_a_command_leaves_the_collector_as_much_at_any_stream_size(tmp_path):
-    """main pauses the cyclic collector, so a command must build no cycle per
-    vehicle: what the collector finds after it (the argument parser) is the
-    same at n = 20 and n = 400."""
+    """main pauses the cyclic collector, so a command must build no cycle:
+    the collector finds nothing after it at n = 20 or n = 400 (the argument
+    parser is built once and kept, so it is not garbage either)."""
     found = {}
     with collector_paused():
         for n in (20, 400):
@@ -653,4 +709,4 @@ def test_a_command_leaves_the_collector_as_much_at_any_stream_size(tmp_path):
                 argv = ["simulate", "--algo", algo, "--input", str(stream), "--out", str(out)]
                 assert main(argv) == EXIT_OK
                 found[algo, n] = gc.collect()
-    assert len(set(found.values())) == 1, found
+    assert set(found.values()) == {0}, found
