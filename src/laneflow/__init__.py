@@ -25,7 +25,7 @@ from .errors import (
 )
 from .part1 import build_lane_plan, simulate_part1
 from .part2 import assign_stream, budget_from_part1, simulate_part2
-from .report import canonical_json, render_report, report_to_dict
+from .report import canonical_json, render_report
 from .rng import SplitMix64, combine_seed
 from .stats import (
     ClassCountVector,
@@ -70,7 +70,6 @@ __all__ = [
     "parse_vehicle_file",
     "render_report",
     "render_vehicle_file",
-    "report_to_dict",
     "run_compare",
     "scale_class_counts",
     "simulate_part1",

@@ -5,8 +5,7 @@ key (city, sample id, ...) and whose remaining columns are class labels, then
 one row per entry.  Two markers appear in real registration tables:
 
     "-"  count not available; the row parses but is unusable for sampling
-    "A"  the class was folded into the Cars column; recorded as 0 with an
-         annotation naming the merged label
+    "A"  the class was folded into the Cars column; it reads as 0
 
 Anything else must be a non-negative integer in plain ASCII digits
 (domain.parse_number); offenders raise ParseError with a 1-based line and
@@ -32,7 +31,6 @@ class CensusRow:
 
     name: str
     counts: tuple[int | None, ...]
-    merged_into_cars: tuple[str, ...] = ()
 
     @property
     def usable(self) -> bool:
@@ -108,16 +106,14 @@ def parse_census(text: str) -> CensusTable:
             raise ParseError(f"duplicate row name {name!r}", lineno, 1)
         seen.add(name)
         counts: list[int | None] = []
-        merged: list[str] = []
-        for col, (label, cell) in enumerate(zip(labels, cells), start=2):
+        for col, cell in enumerate(cells, start=2):
             if cell == MISSING_MARK:
                 counts.append(None)
             elif cell == MERGED_MARK:
                 counts.append(0)
-                merged.append(label)
             else:
                 counts.append(_count(cell, lineno, col, _CENSUS_CELL))
-        rows.append(CensusRow(name=name, counts=tuple(counts), merged_into_cars=tuple(merged)))
+        rows.append(CensusRow(name=name, counts=tuple(counts)))
     if not rows:
         raise ParseError("census file has a header but no rows", header_line + 1, 1)
     return CensusTable(labels=labels, rows=tuple(rows))

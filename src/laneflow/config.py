@@ -128,14 +128,9 @@ def _parse_int(value: str, key: str, lineno: int) -> int:
 
 def _parse_range(value: str, key: str, lineno: int) -> tuple[int, int]:
     parts = [p.strip() for p in value.split("-")]
-    if len(parts) == 1:
-        lo = hi = _parse_int(parts[0], key, lineno)
-    elif len(parts) == 2:
-        lo = _parse_int(parts[0], key, lineno)
-        hi = _parse_int(parts[1], key, lineno)
-    else:
+    if len(parts) > 2 or "" in parts:  # "-5" and "5-" split to an empty end
         raise ConfigError(f"line {lineno}: {key} expects 'lo-hi' or a single value, got {value!r}")
-    return lo, hi
+    return _parse_int(parts[0], key, lineno), _parse_int(parts[-1], key, lineno)
 
 
 def parse_config_text(text: str) -> FileConfig:

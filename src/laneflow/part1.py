@@ -7,8 +7,8 @@ the leader.  Two counting modes exist because "number of overtakes" can be
 read two ways:
 
 * event   - one transition per pair, stamped with its catch-up tick
-            (enumerate_overtake_pairs yields plain (slow, fast, lane)
-            tuples, then count_transitions)
+            (enumerate_overtake_pairs returns a list of plain
+            (slow, fast, lane) tuples, then count_transitions)
 * literal - per pair, every tick the follower is still at or behind the
             leader is counted; literal_count sums these straight from each
             lane's members and builds no pairs

@@ -18,33 +18,6 @@ from typing import Any
 from .domain import SimulationReport
 
 
-def _report_fields(report: SimulationReport, events: list[dict[str, Any]]) -> dict[str, Any]:
-    return {
-        "algorithm": report.algorithm,
-        "countingMode": report.counting_mode,
-        "laneCount": report.lane_count,
-        "transitionCount": report.transition_count,
-        "events": events,
-        "laneAverageSpeed": {str(lane): float(avg) for lane, avg in report.lane_average_speed.items()},
-        "lanePopulation": {str(lane): pop for lane, pop in report.lane_population.items()},
-    }
-
-
-def report_to_dict(report: SimulationReport) -> dict[str, Any]:
-    """The report as plain data; render_report must give canonical_json of it."""
-    events = [
-        {
-            "overtakerId": e.overtaker_id,
-            "overtakenId": e.overtaken_id,
-            "fromLane": e.from_lane,
-            "toLane": e.to_lane,
-            "catchUpTicks": e.catch_up_ticks,
-        }
-        for e in report.events
-    ]
-    return _report_fields(report, events)
-
-
 def canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
@@ -61,17 +34,30 @@ _RUN = operator.itemgetter(1, 2, 3)  # an event's (overtaken_id, from_lane, to_l
 
 
 def render_report(report: SimulationReport) -> str:
-    """canonical_json(report_to_dict(report)), without a dict per event.
+    """The report as canonical JSON: the package's one report writer.
 
-    The event keys are fixed and sorted, so an event reads
+    Its spec is canonical_json(report_to_dict(report)), where report_to_dict
+    (in tests/reference_planners.py) gives the report as plain data, one dict
+    per event; this writer makes no dict per event.  The event keys are fixed
+    and sorted, so an event reads
     {"catchUpTicks":T,"fromLane":F,"overtakenId":O,"overtakerId":R,"toLane":L}.
     Each run of events with one (O, F, L), which count_transitions emits per
     leader, formats its middle and tail once and joins into one string; each
-    vehicle id is quoted once.  The rest of the report goes through
-    canonical_json with an empty event list, and one join puts the runs in
-    that list's place, so the text is built once from the runs' strings.
+    vehicle id is quoted once.  The rest of the report, each lane average as
+    a float, goes through canonical_json with an empty event list, and one
+    join puts the runs in that list's place, so the text is built once from
+    the runs' strings.
     """
-    left, _, right = canonical_json(_report_fields(report, [])).partition('"events":[]')
+    head = {
+        "algorithm": report.algorithm,
+        "countingMode": report.counting_mode,
+        "laneCount": report.lane_count,
+        "transitionCount": report.transition_count,
+        "events": [],
+        "laneAverageSpeed": {str(lane): float(avg) for lane, avg in report.lane_average_speed.items()},
+        "lanePopulation": {str(lane): pop for lane, pop in report.lane_population.items()},
+    }
+    left, _, right = canonical_json(head).partition('"events":[]')
     q = _Quoted()
     parts = [left, '"events":[']
     lead = '{"catchUpTicks":'

@@ -7,7 +7,8 @@ knowledge base is an immutable fold that copies a lane's buffer on every
 vehicle.  It is slow (quadratic with large constants).
 tests/test_differential.py requires the package to match it exactly, and
 tests/test_kinematics.py and acceptance check 3/8 hold its closed forms to a
-tick-by-tick walk.
+tick-by-tick walk.  report_to_dict is the spec of laneflow.render_report:
+the report as plain data, whose canonical_json the writer must give.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from laneflow.domain import SimulationReport, Speed, TransitionEvent, VehicleRecord
 from laneflow.errors import ConfigError, EmptyStream, PlanHasNoAdjacentLane
@@ -267,3 +268,26 @@ def simulate_part2(
         lane_average_speed={lane.index: float(lane.average) for lane in kb.lanes},
         lane_population={lane.index: lane.population for lane in kb.lanes},
     )
+
+
+def report_to_dict(report: SimulationReport) -> dict[str, Any]:
+    """The report as plain data; render_report must give canonical_json of it."""
+    events = [
+        {
+            "overtakerId": e.overtaker_id,
+            "overtakenId": e.overtaken_id,
+            "fromLane": e.from_lane,
+            "toLane": e.to_lane,
+            "catchUpTicks": e.catch_up_ticks,
+        }
+        for e in report.events
+    ]
+    return {
+        "algorithm": report.algorithm,
+        "countingMode": report.counting_mode,
+        "laneCount": report.lane_count,
+        "transitionCount": report.transition_count,
+        "events": events,
+        "laneAverageSpeed": {str(lane): float(avg) for lane, avg in report.lane_average_speed.items()},
+        "lanePopulation": {str(lane): pop for lane, pop in report.lane_population.items()},
+    }

@@ -19,7 +19,6 @@ def test_numeric_rows_parse_exactly():
     row = table.row("Springfield")
     assert row.counts == (120, 30, 12)
     assert row.usable
-    assert row.merged_into_cars == ()
 
 
 def test_missing_marker_flags_row_unusable():
@@ -31,12 +30,11 @@ def test_missing_marker_flags_row_unusable():
         table.usable_counts("Shelbyville")
 
 
-def test_merge_marker_reads_as_zero_with_annotation():
+def test_merge_marker_reads_as_zero():
     table = parse_census(SMALL)
     row = table.row("Ogdenville")
     assert row.usable
     assert row.counts == (200, 0, 40)
-    assert row.merged_into_cars == ("Buses",)
     counts = table.usable_counts("Ogdenville")
     assert counts.counts == (200, 0, 40)
 

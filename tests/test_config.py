@@ -102,6 +102,17 @@ def test_values_out_of_rule_exit_4_naming_their_line(capsys, monkeypatch, tmp_pa
     assert sorted(path.name for path in tmp_path.iterdir()) == ["run.conf"]
 
 
+@pytest.mark.parametrize("value", ["-5", "5-"])
+def test_a_range_with_an_empty_end_names_the_value_written(capsys, tmp_path, value):
+    (tmp_path / "run.conf").write_text(f"speed.Cars = {value}\n", encoding="utf-8")
+    assert main(["sample", "--n", "5", "--config", str(tmp_path / "run.conf")]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"laneflow: line 1: speed.Cars expects 'lo-hi' or a single value, got {value!r}\n"
+    )
+    assert captured.out == ""
+
+
 def test_rules_name_the_line_of_every_checked_key():
     for text, message in [
         ("\nseed = 18446744073709551616\n", "line 2: seed must fit"),

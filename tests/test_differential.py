@@ -32,7 +32,7 @@ import reference_planners as ref
 from conftest import collector_paused, lane_speeds
 from laneflow import (
     EnsembleSpec, PlanHasNoAdjacentLane, SynthConfig, VehicleRecord, canonical_json, render_report,
-    report_to_dict, run_compare,
+    run_compare,
 )
 from laneflow.domain import ALGORITHMS, COUNTING_MODES, INTERIORS, TransitionEvent
 from laneflow import part1, part2
@@ -182,7 +182,7 @@ def corpus_reports():
 def test_writer_matches_its_spec_on_the_corpus():
     events = 0
     for where, report in corpus_reports():
-        assert render_report(report) == canonical_json(report_to_dict(report)), where
+        assert render_report(report) == canonical_json(ref.report_to_dict(report)), where
         events += len(report.events)
     assert events > 10_000  # most reports carry events, not just empty lists
 

@@ -6,8 +6,6 @@ import random
 
 import pytest
 
-from laneflow import ConfigError, PlanHasNoAdjacentLane
-from laneflow.part1 import transition_target
 from reference_planners import OvertakePair, catch_up_ticks, literal_overtake_count
 
 
@@ -116,36 +114,3 @@ def test_pair_validation():
         OvertakePair(slow_speed=50, fast_speed=40, head_start=1)
     with pytest.raises(ValueError):
         OvertakePair(slow_speed=30, fast_speed=40, head_start=-1)
-
-
-def test_transition_target_edges_and_interior():
-    assert transition_target(1, 3) == 2
-    assert transition_target(3, 3) == 2
-    assert transition_target(2, 3) == 1
-    assert transition_target(2, 3, interior="upper") == 3
-    assert transition_target(1, 2) == 2
-    assert transition_target(2, 2) == 1
-
-
-def test_transition_target_single_lane_rejected():
-    with pytest.raises(PlanHasNoAdjacentLane):
-        transition_target(1, 1)
-
-
-def test_transition_target_validates_arguments():
-    with pytest.raises(ValueError):
-        transition_target(0, 3)
-    with pytest.raises(ValueError):
-        transition_target(4, 3)
-    with pytest.raises(ConfigError, match="^interior must be 'lower' or 'upper'$"):
-        transition_target(2, 3, interior="sideways")
-
-
-def test_transition_target_is_adjacent_and_different():
-    for lane_count in range(2, 9):
-        for lane in range(1, lane_count + 1):
-            for interior in ("lower", "upper"):
-                target = transition_target(lane, lane_count, interior)
-                assert target != lane
-                assert abs(target - lane) == 1
-                assert 1 <= target <= lane_count

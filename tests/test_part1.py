@@ -15,14 +15,13 @@ from laneflow import (
     build_lane_plan,
     classify_speed,
     render_report,
-    report_to_dict,
     simulate_part1,
     simulate_part2,
 )
-from laneflow.part1 import count_transitions, enumerate_overtake_pairs, literal_count
+from laneflow.part1 import count_transitions, enumerate_overtake_pairs, literal_count, transition_target
 
 from conftest import make_stream
-from reference_planners import exact
+from reference_planners import exact, report_to_dict
 
 
 def stream(*speed_arrivals):
@@ -119,6 +118,39 @@ def test_count_transitions_interior_preference():
     _, upper = count_transitions(pairs, lane_count, interior="upper")
     assert lower[0].to_lane == 1
     assert upper[0].to_lane == 3
+
+
+def test_transition_target_edges_and_interior():
+    assert transition_target(1, 3) == 2
+    assert transition_target(3, 3) == 2
+    assert transition_target(2, 3) == 1
+    assert transition_target(2, 3, interior="upper") == 3
+    assert transition_target(1, 2) == 2
+    assert transition_target(2, 2) == 1
+
+
+def test_transition_target_single_lane_rejected():
+    with pytest.raises(PlanHasNoAdjacentLane):
+        transition_target(1, 1)
+
+
+def test_transition_target_validates_arguments():
+    with pytest.raises(ValueError):
+        transition_target(0, 3)
+    with pytest.raises(ValueError):
+        transition_target(4, 3)
+    with pytest.raises(ConfigError, match="^interior must be 'lower' or 'upper'$"):
+        transition_target(2, 3, interior="sideways")
+
+
+def test_transition_target_is_adjacent_and_different():
+    for lane_count in range(2, 9):
+        for lane in range(1, lane_count + 1):
+            for interior in ("lower", "upper"):
+                target = transition_target(lane, lane_count, interior)
+                assert target != lane
+                assert abs(target - lane) == 1
+                assert 1 <= target <= lane_count
 
 
 def test_literal_count_three_vehicle_example():

@@ -6,27 +6,30 @@ import builtins
 import errno
 import random
 import tracemalloc
+import types
 
 import pytest
 
+import laneflow
 from laneflow import (
     SimulationReport,
     TransitionEvent,
     VehicleRecord,
     canonical_json,
     render_report,
-    report_to_dict,
     simulate_part1,
 )
 from laneflow import report as report_module
 from laneflow.report import WRITE_SLICE, write_text_atomic
 
+from reference_planners import report_to_dict
 
-def hand_report(events, lane_count=3):
+
+def hand_report(events, lane_count=3, averages=(5.0, 35.5, 47.25)):
     return SimulationReport(
         algorithm="part1", counting_mode="event", lane_count=lane_count,
         transition_count=len(events), events=tuple(events),
-        lane_average_speed={1: 5.0, 2: 35.5, 3: 47.25}, lane_population={1: 2, 2: 4, 3: 3},
+        lane_average_speed=dict(enumerate(averages, start=1)), lane_population={1: 2, 2: 4, 3: 3},
     )
 
 
@@ -34,6 +37,21 @@ def assert_renders_its_spec(report):
     text = render_report(report)
     assert text == canonical_json(report_to_dict(report))
     return text
+
+
+def test_the_package_exports_its_writer_and_not_the_spec():
+    # the spec lives with the test oracle; __all__ is exactly the root's
+    # public names, so no name goes missing from it and none is stale
+    public = {
+        name for name, value in vars(laneflow).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(laneflow.__all__) == public | {"__version__"}
+    assert len(laneflow.__all__) == len(set(laneflow.__all__))
+    for name in laneflow.__all__:
+        getattr(laneflow, name)
+    assert "render_report" in laneflow.__all__
+    assert not hasattr(laneflow, "report_to_dict")
 
 
 def test_events_in_any_order_render_their_spec():
@@ -69,6 +87,9 @@ def test_a_simulated_report_renders_its_spec():
 def test_an_empty_event_list_renders_its_spec():
     text = assert_renders_its_spec(hand_report([]))
     assert '"events":[]' in text
+    # a library caller's int averages render as floats, as in the spec
+    text = assert_renders_its_spec(hand_report([], averages=(40, 35.5, 47)))
+    assert '"laneAverageSpeed":{"1":40.0,"2":35.5,"3":47.0}' in text
 
 
 def test_ids_that_need_escaping_render_their_spec():

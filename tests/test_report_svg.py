@@ -14,11 +14,12 @@ from laneflow import (
     VehicleRecord,
     canonical_json,
     render_report,
-    report_to_dict,
     simulate_part1,
     simulate_part2,
 )
 from laneflow.svgchart import HEIGHT, WIDTH, Series, _nice_step, _ticks, render_line_chart
+
+from reference_planners import report_to_dict
 
 
 def sample_report():
