@@ -31,7 +31,7 @@ from pathlib import Path
 
 from .census import parse_census, parse_counts_file
 from .compare import EnsembleSpec, run_compare, write_outputs
-from .config import FileConfig, check_at_least_one, check_sample_sizes, check_u64, parse_config_text
+from .config import FileConfig, check_at_least_one, check_u64, parse_config_text, parse_sizes
 from .domain import (
     ALGORITHMS, COUNTING_MODES, INTERIORS, parse_number, parse_vehicle_file, render_vehicle_file,
 )
@@ -118,20 +118,22 @@ def _synth_config(cfg: FileConfig, counts: ClassCountVector) -> SynthConfig:
     )
 
 
-def _number_flag(check, listed: bool = False):
-    """An argparse type: the input files' number grammar, then the setting's
-    own rule, so a bad value is a usage error naming its flag (exit 2).
-    listed=True reads comma-separated numbers into a tuple."""
+def _flag(read):
+    """An argparse type: read(text), whose ValueError is a usage error naming
+    its flag (exit 2)."""
 
     def convert(text: str):
         try:
-            if listed:
-                return check(tuple(parse_number(part.strip()) for part in text.split(",")))
-            return check(parse_number(text))
+            return read(text)
         except ValueError as err:
             raise argparse.ArgumentTypeError(str(err)) from None
 
     return convert
+
+
+def _number_flag(check):
+    """An argparse type: the input files' number grammar, then the setting's own rule."""
+    return _flag(lambda text: check(parse_number(text)))
 
 
 _count_flag = _number_flag(check_at_least_one)
@@ -250,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.set_defaults(func=_cmd_stats)
 
     p_cmp = sub.add_parser("compare", help="ensemble comparison of both planners")
-    p_cmp.add_argument("--sizes", type=_number_flag(check_sample_sizes, listed=True), default=None,
+    p_cmp.add_argument("--sizes", type=_flag(parse_sizes), default=None,
                        help="comma-separated sample sizes (default: 20,25,30,40,50)")
     p_cmp.add_argument("--runs", type=_count_flag, default=None, help="runs per size (default: 100)")
     p_cmp.add_argument("--base-seed", type=_number_flag(check_u64), default=None,

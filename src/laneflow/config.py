@@ -70,6 +70,17 @@ def check_sample_sizes(sizes: tuple[int, ...]) -> tuple[int, ...]:
     return sizes
 
 
+def parse_sizes(text: str) -> tuple[int, ...]:
+    """The one reader of a comma-separated size list, for the sizes key and
+    the --sizes flag: each entry in the input files' integer grammar, then
+    check_sample_sizes.  A malformed entry names the whole value written."""
+    try:
+        sizes = tuple(parse_number(part.strip()) for part in text.split(","))
+    except ValueError:
+        raise ValueError(f"must be comma-separated integers, got {text!r}") from None
+    return check_sample_sizes(sizes)
+
+
 def check_speed_range(bounds: tuple[int, int]) -> tuple[int, int]:
     lo, hi = bounds
     if not 1 <= lo <= hi <= 100:
@@ -161,8 +172,7 @@ def parse_config_text(text: str) -> FileConfig:
             number = _parse_int(value, key, lineno)
             setattr(cfg, key, check_setting(f"line {lineno}: {key}", _INTEGER_KEYS[key], number))
         elif key == "sizes":
-            sizes = tuple(_parse_int(p.strip(), key, lineno) for p in value.split(","))
-            cfg.sizes = check_setting(f"line {lineno}: {key}", check_sample_sizes, sizes)
+            cfg.sizes = check_setting(f"line {lineno}: {key}", parse_sizes, value)
         elif key == "counting_mode":
             cfg.counting_mode = check_setting(f"line {lineno}: {key}", check_counting_mode, value)
         else:

@@ -35,6 +35,10 @@ on the exact speeds; a running lane average is likewise the scaled total
 divided by the population and by L.  Scaling also keeps the order of
 speeds, so speed comparisons on the scaled integers agree with comparisons
 on the speeds.
+
+The two planners differ only in how they assign lanes: each hands its lane
+map (and in event mode its own count_transitions result) to planner_report,
+which makes the literal count, adds lane_statistics and builds the report.
 """
 
 from __future__ import annotations
@@ -230,6 +234,18 @@ def lane_statistics(
     return averages, members
 
 
+def planner_report(
+    algorithm: str, vehicles: list[VehicleRecord], lane_of: Mapping[str, int], lane_count: int,
+    mode: str, counted: tuple[int, tuple[TransitionEvent, ...]] | None,
+) -> SimulationReport:
+    """Either planner's report from its lane map: in event mode counted is the
+    planner's own count_transitions result, in literal mode it is None and
+    literal_count counts here; both modes add lane_statistics."""
+    count, events = (literal_count(vehicles, lane_of, lane_count), ()) if mode == "literal" else counted
+    averages, populations = lane_statistics(vehicles, lane_of, lane_count)
+    return SimulationReport(algorithm, mode, lane_count, count, events, averages, populations)
+
+
 def simulate_part1(
     vehicles: list[VehicleRecord], mode: str = "event", interior: str = "lower"
 ) -> SimulationReport:
@@ -237,18 +253,6 @@ def simulate_part1(
     check_setting("mode", check_counting_mode, mode)
     check_setting("interior", check_interior, interior)
     lane_of, lane_count = build_lane_plan(vehicles)
-    if mode == "literal":
-        count, events = literal_count(vehicles, lane_of, lane_count), ()
-    else:
-        pairs = enumerate_overtake_pairs(vehicles, lane_of)
-        count, events = count_transitions(pairs, lane_count, interior)
-    averages, populations = lane_statistics(vehicles, lane_of, lane_count)
-    return SimulationReport(
-        algorithm="part1",
-        counting_mode=mode,
-        lane_count=lane_count,
-        transition_count=count,
-        events=events,
-        lane_average_speed=averages,
-        lane_population=populations,
-    )
+    counted = None if mode == "literal" else count_transitions(
+        enumerate_overtake_pairs(vehicles, lane_of), lane_count, interior)
+    return planner_report("part1", vehicles, lane_of, lane_count, mode, counted)

@@ -15,8 +15,9 @@ position).  The fold runs on integers: every speed is scaled by one common
 factor (part1.common_scale), each lane keeps a scaled total and a count,
 and the nearest rule compares |x - T/n| across lanes by cross-multiplying.
 Only the assignment is part2's own: it returns the same (id -> lane, lane
-count) shape as part1.build_lane_plan, and pairs, counts and lane statistics
-come from the same part1 functions the class planner uses.
+count) shape as part1.build_lane_plan, pairs and event counts come from the
+same part1 functions the class planner uses, and part1.planner_report builds
+the report of both planners.
 """
 
 from __future__ import annotations
@@ -24,13 +25,7 @@ from __future__ import annotations
 from .config import check_at_least_one, check_counting_mode, check_interior, check_setting
 from .domain import SimulationReport, Speed, VehicleRecord
 from .errors import EmptyStream
-from .part1 import (
-    common_scale,
-    count_transitions,
-    enumerate_overtake_pairs,
-    lane_statistics,
-    literal_count,
-)
+from .part1 import common_scale, count_transitions, enumerate_overtake_pairs, planner_report
 
 
 def _nearest(x: int, populations: list[int], totals: list[int]) -> int:
@@ -98,18 +93,6 @@ def simulate_part2(
     check_setting("mode", check_counting_mode, mode)
     check_setting("interior", check_interior, interior)
     lane_of, lane_count = assign_stream(vehicles, budget)
-    if mode == "literal":
-        count, events = literal_count(vehicles, lane_of, lane_count), ()
-    else:
-        pairs = enumerate_overtake_pairs(vehicles, lane_of)
-        count, events = count_transitions(pairs, lane_count, interior)
-    averages, populations = lane_statistics(vehicles, lane_of, lane_count)
-    return SimulationReport(
-        algorithm="part2",
-        counting_mode=mode,
-        lane_count=lane_count,
-        transition_count=count,
-        events=events,
-        lane_average_speed=averages,
-        lane_population=populations,
-    )
+    counted = None if mode == "literal" else count_transitions(
+        enumerate_overtake_pairs(vehicles, lane_of), lane_count, interior)
+    return planner_report("part2", vehicles, lane_of, lane_count, mode, counted)

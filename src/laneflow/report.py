@@ -12,6 +12,7 @@ import json
 import operator
 import os
 from itertools import groupby
+from json.encoder import encode_basestring_ascii as quote
 from pathlib import Path
 from typing import Any
 
@@ -20,14 +21,6 @@ from .domain import SimulationReport
 
 def canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
-
-
-class _Quoted(dict):
-    """Vehicle id -> its JSON string literal, made by json.dumps on first use."""
-
-    def __missing__(self, key: str) -> str:
-        quoted = self[key] = json.dumps(key)
-        return quoted
 
 
 _RUN = operator.itemgetter(1, 2, 3)  # an event's (overtaken_id, from_lane, to_lane)
@@ -42,11 +35,13 @@ def render_report(report: SimulationReport) -> str:
     and sorted, so an event reads
     {"catchUpTicks":T,"fromLane":F,"overtakenId":O,"overtakerId":R,"toLane":L}.
     Each run of events with one (O, F, L), which count_transitions emits per
-    leader, formats its middle and tail once and joins into one string; each
-    vehicle id is quoted once.  The rest of the report, each lane average as
-    a float, goes through canonical_json with an empty event list, and one
-    join puts the runs in that list's place, so the text is built once from
-    the runs' strings.
+    leader, formats its middle and tail once and joins into one string.  Each
+    id is quoted by json.encoder.encode_basestring_ascii, the function
+    json.dumps applies to a str by default (ensure_ascii=True), so escaping
+    is json.dumps's.  The rest of the report, each lane average as a float,
+    goes through canonical_json with an empty event list, and one join puts
+    the runs in that list's place, so the text is built once from the runs'
+    strings.
     """
     head = {
         "algorithm": report.algorithm,
@@ -58,14 +53,13 @@ def render_report(report: SimulationReport) -> str:
         "lanePopulation": {str(lane): pop for lane, pop in report.lane_population.items()},
     }
     left, _, right = canonical_json(head).partition('"events":[]')
-    q = _Quoted()
     parts = [left, '"events":[']
     lead = '{"catchUpTicks":'
     for (overtaken, from_lane, to_lane), run in groupby(report.events, _RUN):
-        middle = f',"fromLane":{from_lane},"overtakenId":{q[overtaken]},"overtakerId":'
+        middle = f',"fromLane":{from_lane},"overtakenId":{quote(overtaken)},"overtakerId":'
         tail = f',"toLane":{to_lane}}}'
         parts += (lead, (tail + ',{"catchUpTicks":').join([
-            f"{ticks}{middle}{q[overtaker]}" for overtaker, _, _, _, ticks in run
+            f"{ticks}{middle}{quote(overtaker)}" for overtaker, _, _, _, ticks in run
         ]), tail)
         lead = ',{"catchUpTicks":'
     parts += ("]", right)

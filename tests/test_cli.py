@@ -331,6 +331,21 @@ def test_compare_rejects_bad_sizes(capsys, tmp_path):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("value", ["20,,30", "20,30,"])
+def test_a_malformed_sizes_value_is_named_whole_by_flag_and_config(capsys, tmp_path, no_ensemble,
+                                                                   value):
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "compare", "--sizes", value, "--out-dir", str(out))
+    assert code == EXIT_USAGE
+    assert f"argument --sizes: must be comma-separated integers, got {value!r}" in err
+    config = tmp_path / "sizes.conf"
+    config.write_text(f"sizes = {value}\n")
+    code, _, err = run(capsys, "compare", "--config", str(config), "--out-dir", str(out))
+    assert code == EXIT_PARSE
+    assert err == f"laneflow: line 1: sizes must be comma-separated integers, got {value!r}\n"
+    assert not out.exists()
+
+
 def test_compare_rejects_bad_config(capsys, tmp_path):
     config = tmp_path / "broken.conf"
     config.write_text("warp_factor = 9\n")

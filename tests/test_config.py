@@ -81,6 +81,13 @@ def test_bad_values_name_their_line():
         parse_config_text("sizes = 20,fast\n")
 
 
+@pytest.mark.parametrize("value", ["20,,30", "20,30,", ",20,30", "20, fast"])
+def test_a_malformed_sizes_entry_names_the_whole_value(value):
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(f"sizes = {value}\n")
+    assert str(err.value) == f"line 1: sizes must be comma-separated integers, got {value!r}"
+
+
 # A value outside its setting's rule is refused where the file is read, with
 # its line, by a subcommand that reads the key.
 OUT_OF_RULE = [

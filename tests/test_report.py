@@ -93,7 +93,7 @@ def test_an_empty_event_list_renders_its_spec():
 
 
 def test_ids_that_need_escaping_render_their_spec():
-    ids = ['"', "\\", '\\"', "café", "üß", " ", "car\U0001F697", "plain"]
+    ids = ['"', "\\", '\\"', "café", "üß", " ", "car\U0001F697", "a\tb", "\x1f", "\x7f", "plain"]
     moves = ((1, 2), (2, 1), (2, 3), (3, 2))
     events = [
         TransitionEvent(fast, slow, *moves[i % 4], i + 1)
