@@ -31,10 +31,8 @@ from pathlib import Path
 
 from .census import parse_census, parse_counts_file
 from .compare import EnsembleSpec, run_compare, write_outputs
-from .config import FileConfig, check_at_least_one, check_u64, parse_config_text, parse_sizes
-from .domain import (
-    ALGORITHMS, COUNTING_MODES, INTERIORS, parse_number, parse_vehicle_file, render_vehicle_file,
-)
+from .config import FileConfig, check_at_least_one, check_u64, parse_config_text, parse_sizes, read_integer
+from .domain import ALGORITHMS, COUNTING_MODES, INTERIORS, parse_vehicle_file, render_vehicle_file
 from .errors import ConfigError, DegenerateDistribution, LaneflowError, ParseError
 from .part1 import simulate_part1
 from .part2 import budget_from_part1, simulate_part2
@@ -56,6 +54,16 @@ class UsageError(Exception):
 
 class FileFailure(Exception):
     pass
+
+
+# the exit code of each error a command raises, first match wins: ParseError
+# and ConfigError are LaneflowErrors too
+_ERROR_EXITS = (
+    (UsageError, EXIT_USAGE),
+    (FileFailure, EXIT_FILE),
+    ((ParseError, ConfigError), EXIT_PARSE),
+    (LaneflowError, EXIT_MODEL),
+)
 
 
 def _file_failure(verb: str, path: str, err: OSError) -> FileFailure:
@@ -131,12 +139,8 @@ def _flag(read):
     return convert
 
 
-def _number_flag(check):
-    """An argparse type: the input files' number grammar, then the setting's own rule."""
-    return _flag(lambda text: check(parse_number(text)))
-
-
-_count_flag = _number_flag(check_at_least_one)
+_count_flag = _flag(read_integer(check_at_least_one))
+_seed_flag = _flag(read_integer(check_u64))
 
 
 def _budget_flag(text: str) -> int | str:
@@ -239,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--census", default=None, help="census CSV (default: bundled token samples)")
     p_sample.add_argument("--row", default="1", help="row name or 1-based index (default: 1)")
     p_sample.add_argument("--n", type=_count_flag, required=True, help="target sample size")
-    p_sample.add_argument("--seed", type=_number_flag(check_u64), default=None,
+    p_sample.add_argument("--seed", type=_seed_flag, default=None,
                           help="synthesis seed (default: config file, else 0)")
     p_sample.add_argument("--config", default=None, help="flat key-value config file")
     p_sample.add_argument("--out", default=None, help="vehicle CSV path (default: stdout)")
@@ -255,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--sizes", type=_flag(parse_sizes), default=None,
                        help="comma-separated sample sizes (default: 20,25,30,40,50)")
     p_cmp.add_argument("--runs", type=_count_flag, default=None, help="runs per size (default: 100)")
-    p_cmp.add_argument("--base-seed", type=_number_flag(check_u64), default=None,
+    p_cmp.add_argument("--base-seed", type=_seed_flag, default=None,
                        help="ensemble base seed (default: 0)")
     p_cmp.add_argument("--mode", choices=COUNTING_MODES, default=None)
     p_cmp.add_argument("--census", default=None, help="census CSV (default: bundled token samples)")
@@ -290,18 +294,9 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except UsageError as err:
+    except (UsageError, FileFailure, LaneflowError) as err:
         print(f"laneflow: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileFailure as err:
-        print(f"laneflow: {err}", file=sys.stderr)
-        return EXIT_FILE
-    except (ParseError, ConfigError) as err:
-        print(f"laneflow: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except LaneflowError as err:
-        print(f"laneflow: {err}", file=sys.stderr)
-        return EXIT_MODEL
+        return next(code for kinds, code in _ERROR_EXITS if isinstance(err, kinds))
     finally:
         if was_enabled:
             gc.enable()

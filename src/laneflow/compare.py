@@ -15,7 +15,7 @@ correct merge order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
@@ -122,15 +122,7 @@ def render_summary_json(result: CompareResult) -> str:
     spec = result.spec
     series: dict[str, Any] = {}
     for algo in ALGORITHMS:
-        series[algo] = {
-            str(size): {
-                "mean": result.stats[algo][size].mean,
-                "sd": result.stats[algo][size].sd,
-                "min": result.stats[algo][size].min,
-                "max": result.stats[algo][size].max,
-            }
-            for size in spec.sample_sizes
-        }
+        series[algo] = {str(size): asdict(result.stats[algo][size]) for size in spec.sample_sizes}
     head_to_head: dict[str, Any] = {}
     for size in spec.sample_sizes:
         m1 = result.stats["part1"][size].mean

@@ -20,7 +20,9 @@ rejected with its line number.
 The rules themselves live here too, once each, and raise ValueError with a
 message that names no setting; whoever reads the value names it: a config
 line, a CLI flag, a SynthConfig or EnsembleSpec field, or a planner, synthesis
-or stats argument (check_setting).
+or stats argument (check_setting).  So do the readers of a number setting's
+text (read_integer, parse_sizes), which its config key and its CLI flag
+share: the same bad text is refused in the same words on both.
 """
 
 from __future__ import annotations
@@ -63,11 +65,17 @@ def check_interior(interior: str) -> str:
 def check_sample_sizes(sizes: tuple[int, ...]) -> tuple[int, ...]:
     if len(sizes) < 2:
         raise ValueError("must hold at least two sizes: a trend needs two points")
+    for size in sizes:
+        check_at_least_one(size)
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("must be strictly increasing")
-    if any(s < 1 for s in sizes):
-        raise ValueError("must be positive")
     return sizes
+
+
+def read_integer(check: Callable[[int], T]) -> Callable[[str], T]:
+    """The reader of one integer setting, for its config key and its CLI flag:
+    the input files' integer grammar, then the setting's rule."""
+    return lambda text: check(parse_number(text))
 
 
 def parse_sizes(text: str) -> tuple[int, ...]:
@@ -83,6 +91,8 @@ def parse_sizes(text: str) -> tuple[int, ...]:
 
 def check_speed_range(bounds: tuple[int, int]) -> tuple[int, int]:
     lo, hi = bounds
+    if type(lo) is not int or type(hi) is not int:  # synthesis draws integer speeds
+        raise ValueError(f"must be integers, got {lo!r}-{hi!r}")
     if not 1 <= lo <= hi <= 100:
         raise ValueError(f"must satisfy 1 <= lo <= hi <= 100, got {lo}-{hi}")
     return bounds
@@ -121,27 +131,22 @@ class FileConfig:
                 )
 
 
-# keys that take one integer, each named as its FileConfig field, and their rules
-_INTEGER_KEYS = {
-    "arrival_gap_max": check_at_least_one,
-    "seed": check_u64,
-    "runs_per_size": check_at_least_one,
-    "base_seed": check_u64,
-}
-
-
-def _parse_int(value: str, key: str, lineno: int) -> int:
-    try:
-        return parse_number(value)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: {key} expects an integer, got {value!r}") from None
-
-
-def _parse_range(value: str, key: str, lineno: int) -> tuple[int, int]:
-    parts = [p.strip() for p in value.split("-")]
+def _read_speed_range(text: str) -> tuple[int, int]:
+    parts = [p.strip() for p in text.split("-")]
     if len(parts) > 2 or "" in parts:  # "-5" and "5-" split to an empty end
-        raise ConfigError(f"line {lineno}: {key} expects 'lo-hi' or a single value, got {value!r}")
-    return _parse_int(parts[0], key, lineno), _parse_int(parts[-1], key, lineno)
+        raise ValueError(f"expects 'lo-hi' or a single value, got {text!r}")
+    return check_speed_range((parse_number(parts[0]), parse_number(parts[-1])))
+
+
+# the reader of every key but speed.<label>, each key named as its FileConfig field
+_READERS = {
+    "arrival_gap_max": read_integer(check_at_least_one),
+    "seed": read_integer(check_u64),
+    "sizes": parse_sizes,
+    "runs_per_size": read_integer(check_at_least_one),
+    "base_seed": read_integer(check_u64),
+    "counting_mode": check_counting_mode,
+}
 
 
 def parse_config_text(text: str) -> FileConfig:
@@ -166,15 +171,9 @@ def parse_config_text(text: str) -> FileConfig:
             raise ConfigError(f"line {lineno}: {key} is already set on line {cfg.lines[key]}")
         cfg.lines[key] = lineno
         if label:
-            bounds = _parse_range(value, key, lineno)
-            cfg.speed_ranges[label] = check_setting(f"line {lineno}: {key}", check_speed_range, bounds)
-        elif key in _INTEGER_KEYS:
-            number = _parse_int(value, key, lineno)
-            setattr(cfg, key, check_setting(f"line {lineno}: {key}", _INTEGER_KEYS[key], number))
-        elif key == "sizes":
-            cfg.sizes = check_setting(f"line {lineno}: {key}", parse_sizes, value)
-        elif key == "counting_mode":
-            cfg.counting_mode = check_setting(f"line {lineno}: {key}", check_counting_mode, value)
+            cfg.speed_ranges[label] = check_setting(f"line {lineno}: {key}", _read_speed_range, value)
+        elif key in _READERS:
+            setattr(cfg, key, check_setting(f"line {lineno}: {key}", _READERS[key], value))
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
     return cfg

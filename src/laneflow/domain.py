@@ -127,11 +127,19 @@ _NUMBER = re.compile(r"-?[0-9]+(\.[0-9]+)?")
 
 def parse_number(text: str, decimal: bool = False) -> int | float:
     """Read -?[0-9]+ as an int, or with decimal=True also -?[0-9]+.[0-9]+ as
-    float(text); raises ValueError for anything else."""
+    float(text); raises ValueError for anything else, and for decimal text
+    whose value differs from the float's repr, the decimal the planners count
+    with (10.99999999999999999 reads as 11.0).  Text that is the repr costs
+    one string compare."""
     match = _NUMBER.fullmatch(text)
     if match is None or (match[1] and not decimal):
-        raise ValueError(f"{text!r} is not a number")
-    return float(text) if match[1] else int(text)
+        raise ValueError(f"{text!r} is not {'a number' if decimal else 'an integer'}")
+    if not match[1]:
+        return int(text)
+    number = float(text)
+    if repr(number) != text and Decimal(repr(number)) != Decimal(text):
+        raise ValueError(f"{text!r} has more digits than a float holds")
+    return number
 
 
 def read_csv(text: str, what: str) -> Iterator[tuple[int, list[str]]]:
@@ -174,12 +182,12 @@ def parse_vehicle_file(text: str) -> list[VehicleRecord]:
         seen.add(vid)
         try:
             speed = parse_number(speed_text, decimal=True)
-        except ValueError:
-            raise ParseError(f"speed {speed_text!r} is not a number", lineno, 2) from None
+        except ValueError as err:
+            raise ParseError(f"speed {err}", lineno, 2) from None
         try:
             arrival = parse_number(arrival_text)
-        except ValueError:
-            raise ParseError(f"arrival {arrival_text!r} is not an integer", lineno, 3) from None
+        except ValueError as err:
+            raise ParseError(f"arrival {err}", lineno, 3) from None
         if arrival < 0:
             raise ParseError("arrival must be >= 0", lineno, 3)
         records.append(VehicleRecord(id=vid, speed=speed, arrival=arrival))

@@ -107,6 +107,16 @@ def test_malformed_vehicle_file(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_a_speed_with_more_digits_than_a_float_holds_is_malformed(capsys, tmp_path):
+    path = tmp_path / "long.csv"  # as floats, the two speeds would be 11.0 and 5: two lanes
+    path.write_text("id,speed,arrival\na,10.99999999999999999,0\nb,5,0\n", encoding="utf-8")
+    code, out, err = run(capsys, "simulate", "--algo", "part1", "--input", str(path))
+    assert code == EXIT_PARSE
+    assert err == ("laneflow: speed '10.99999999999999999' has more digits than a float holds "
+                   "(line 2, column 2)\n")
+    assert out == ""
+
+
 def test_model_rejection_is_distinct_from_parse_error(capsys, tmp_path):
     path = tmp_path / "too_fast.csv"
     path.write_text("id,speed,arrival\nv1,150,0\n", encoding="utf-8")
@@ -343,6 +353,35 @@ def test_a_malformed_sizes_value_is_named_whole_by_flag_and_config(capsys, tmp_p
     code, _, err = run(capsys, "compare", "--config", str(config), "--out-dir", str(out))
     assert code == EXIT_PARSE
     assert err == f"laneflow: line 1: sizes must be comma-separated integers, got {value!r}\n"
+    assert not out.exists()
+
+
+# "<flag>/<config key>" of one rule: the command line with the flag ({} for its
+# value), and a command line that reads the key
+FLAG_AND_KEY = {
+    "--n/arrival_gap_max": ("sample --n {}", "sample --n 20"),
+    "--runs/runs_per_size": ("compare --runs {}", "compare"),
+    "--seed/seed": ("sample --n 20 --seed {}", "sample --n 20"),
+    "--base-seed/base_seed": ("compare --base-seed {}", "compare"),
+}
+
+
+@pytest.mark.parametrize("pair", FLAG_AND_KEY)
+@pytest.mark.parametrize("value", ["1.5", "2_0"])
+def test_a_flag_and_its_key_refuse_the_same_text_in_the_same_words(capsys, tmp_path, no_ensemble, pair, value):
+    flag, key = pair.split("/")
+    flag_argv, key_argv = FLAG_AND_KEY[pair]
+    out = tmp_path / "out"
+    out_flag = "--out-dir" if key_argv == "compare" else "--out"
+    reason = f"{value!r} is not an integer"
+    code, _, err = run(capsys, *flag_argv.format(value).split(), out_flag, str(out))
+    assert code == EXIT_USAGE
+    assert err.endswith(f"argument {flag}: {reason}\n"), err
+    config = tmp_path / "run.conf"
+    config.write_text(f"{key} = {value}\n")
+    code, _, err = run(capsys, *key_argv.split(), "--config", str(config), out_flag, str(out))
+    assert code == EXIT_PARSE
+    assert err == f"laneflow: line 1: {key} {reason}\n"
     assert not out.exists()
 
 

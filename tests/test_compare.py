@@ -57,6 +57,12 @@ def test_spec_validation():
         small_spec(counting_mode="guess")
 
 
+@pytest.mark.parametrize("sizes", [(1.5, 2.5), (True, 2), (0, 5)], ids=str)
+def test_sample_sizes_must_be_integers_of_at_least_one(sizes):
+    with pytest.raises(ConfigError, match="^sample sizes must be an integer of at least 1$"):
+        small_spec(sample_sizes=sizes)
+
+
 def test_run_seeds_are_distinct_per_coordinate():
     seeds = {combine_seed(0, s, r) for s in range(5) for r in range(100)}
     assert len(seeds) == 500

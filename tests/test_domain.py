@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 
 import pytest
 
@@ -130,6 +131,19 @@ def test_parse_flags_positions():
     with pytest.raises(ParseError, match="^empty vehicle id") as err:
         parse_vehicle_file("id,speed,arrival\n,10,0\n")
     assert (err.value.line, err.value.column) == (2, 1)
+
+
+@pytest.mark.parametrize("text", ["10.99999999999999999", "35.00000000000000001", "100.99999999999999999"])
+def test_a_speed_a_float_cannot_hold_is_refused_at_its_cell(text):
+    with pytest.raises(ParseError) as err:
+        parse_vehicle_file(f"id,speed,arrival\nv1,35,0\nv2,{text},1\n")
+    assert str(err.value) == f"speed {text!r} has more digits than a float holds (line 3, column 2)"
+
+
+@pytest.mark.parametrize("text", ["35.30", "0.00001", "0.30000000000000004", "100.99"])
+def test_a_speed_a_float_holds_keeps_its_written_value(text):
+    [vehicle] = parse_vehicle_file(f"id,speed,arrival\nv1,{text},0\n")
+    assert Decimal(repr(vehicle.speed)) == Decimal(text)
 
 
 def test_parse_structure_errors():

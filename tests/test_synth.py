@@ -104,6 +104,12 @@ def test_config_validation():
         synthesize_stream(counts, SynthConfig(), True)
 
 
+@pytest.mark.parametrize("bounds", [(1.5, 20), (1, 20.0), (True, 20)], ids=str)
+def test_speed_range_bounds_must_be_integers(bounds):
+    with pytest.raises(ConfigError, match="^speed range for 'Cars' must be integers, got "):
+        SynthConfig(class_speed_range={"Cars": bounds})
+
+
 def test_empty_stream_for_all_zero_counts():
     counts = make_counts({"Cars": 0})
     assert synthesize_stream(counts, SynthConfig(), 1) == []
