@@ -120,25 +120,29 @@ def test_scaled_counts_match_reference_cells(announce, info):
     total_cells = 0
     for size in SIZES:
         for row_index in range(1, 11):
-            scaled = scale_class_counts(raw.usable_counts(row_index), size)
+            counts = raw.usable_counts(row_index)
+            scaled = scale_class_counts(counts, size)
             computed = dict(zip(scaled.labels, scaled.counts))
+            source = dict(zip(counts.labels, counts.counts))
             for label, printed in by_key[(size, row_index)].transcribed_cells():
                 total_cells += 1
                 if computed[label] == printed:
                     exact_cells += 1
                 else:
-                    deviations.append((size, row_index, label, computed[label], printed))
+                    unrounded = size * source[label] / counts.total  # N·p
+                    deviations.append((size, row_index, label, computed[label], printed, unrounded))
     elapsed = time.perf_counter() - started
     share = exact_cells / total_cells
-    worst = max((abs(got - printed) for *_, got, printed in deviations), default=0)
+    worst = max((abs(got - printed) for *_, got, printed, _ in deviations), default=0)
     ok = share >= 0.95 and worst <= 1 and elapsed < 1.0
     announce(
         ok,
         "2/8 scaled counts match reference cells (≥95% exact, rest within ±1)",
         f"{exact_cells}/{total_cells} exact ({share:.2%}), worst |Δ|={worst}, {elapsed:.3f}s",
     )
-    for size, row_index, label, got, printed in deviations:
-        info(f"deviation: N={size} row {row_index} {label}: computed {got}, reference {printed}")
+    for size, row_index, label, got, printed, unrounded in deviations:
+        info(f"deviation: N={size} row {row_index} {label}: computed {got}, reference {printed}, "
+             f"N·p ≈ {unrounded:.2f}")
     assert elapsed < 1.0
     assert worst <= 1, f"cells deviate by more than ±1: worst |Δ|={worst}"
     assert share >= 0.95, f"only {share:.2%} of reference cells reproduced exactly"

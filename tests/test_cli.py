@@ -48,7 +48,10 @@ def test_simulate_part1_report(capsys, three_vehicles):
 
 
 def test_simulate_part2_auto_budget(capsys, three_vehicles):
-    code, out, _ = run(capsys, "simulate", "--algo", "part2", "--input", str(three_vehicles))
+    argv = ("simulate", "--algo", "part2", "--input", str(three_vehicles))
+    code, out, _ = run(capsys, *argv)
+    # the auto budget is the class plan's lane count, 2: the same report bytes
+    assert run(capsys, *argv, "--budget", "2") == (code, out, "")
     payload = json.loads(out)
     assert code == EXIT_OK
     assert payload["algorithm"] == "part2"
@@ -578,12 +581,24 @@ def test_help_exits_cleanly(capsys):
     assert "simulate" in out and "compare" in out
 
 
-def test_a_fresh_import_builds_no_parser():
-    probe = "import laneflow.cli as cli; print(cli.build_parser.cache_info().currsize)"
+def fresh_import(probe):
+    """(exit code, stdout, stderr) of probe in a new interpreter that imports
+    laneflow from where this one does."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env, text=True,
                           timeout=60)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_a_fresh_import_builds_no_parser():
+    probe = "import laneflow.cli as cli; print(cli.build_parser.cache_info().currsize)"
+    assert fresh_import(probe) == (0, "0\n", "")
+
+
+def test_a_fresh_import_loads_neither_fractions_nor_secrets():
+    # the exact rule is integer-only, and temp file names come from os.urandom
+    probe = "import sys, laneflow.cli; print(sorted({'fractions', 'secrets'} & set(sys.modules)))"
+    assert fresh_import(probe) == (0, "[]\n", "")
 
 
 # main reuses one parser for every call in a process: no call may see another's flags

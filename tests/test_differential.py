@@ -17,7 +17,9 @@ on decimal speeds.  The report writer is held to its spec,
 canonical_json(report_to_dict(report)), on every report the corpus gives.  part1.common_scale is held to the exact rule it shortcuts
 for integer speeds, on every stream of the corpus.  Nothing the planners,
 the writer or an ensemble build may form a reference cycle, since the CLI
-runs each command with the cyclic garbage collector paused.
+runs each command with the cyclic garbage collector paused.  Last, relations
+between two runs of the program itself, which need no reference: shifting
+every arrival, or dividing every speed by ten, must not change a decision.
 """
 
 from __future__ import annotations
@@ -385,3 +387,63 @@ def test_kernel_matches_the_closed_forms_on_decimal_speeds():
         if slow < fast:
             triples.append((slow, fast, rng.randint(0, 50)))
     check_kernels_against_closed_forms(triples)
+
+
+RELATION_STREAMS = 500  # about 2 s for the three relations
+
+
+def relation_stream(seed: int) -> list[VehicleRecord]:
+    """1-60 vehicles, integer speeds 1-100, arrivals 0-30 in any order."""
+    rng = random.Random(seed)
+    return [VehicleRecord(f"v{i + 1}", rng.randint(1, 100), rng.randint(0, 30))
+            for i in range(rng.randint(1, 60))]
+
+
+def tenths(vehicles):
+    """The stream with every speed divided by 10: 35 becomes 3.5."""
+    return [VehicleRecord(v.id, v.speed / 10, v.arrival) for v in vehicles]
+
+
+def test_shifting_every_arrival_changes_no_report():
+    refused = 0
+    for seed in range(RELATION_STREAMS):
+        vehicles = relation_stream(seed)
+        shifted = [VehicleRecord(v.id, v.speed, v.arrival + 7) for v in vehicles]
+        budget, interior = 1 + seed % 6, INTERIORS[seed % 2]
+        for mode in COUNTING_MODES:
+            for planner, args in ((part1.simulate_part1, (mode, interior)),
+                                  (part2.simulate_part2, (budget, mode, interior))):
+                want = rendered(outcome(planner, vehicles, *args))
+                assert rendered(outcome(planner, shifted, *args)) == want, (seed, planner, mode)
+                refused += want[0] != "ok"
+    assert refused > 100  # refusals are compared too, not only reports
+
+
+def test_dividing_every_speed_keeps_part2_counts_events_and_populations():
+    def decisions(result):
+        kind, report = result
+        if kind != "ok":
+            return result
+        return report.transition_count, report.events, report.lane_population
+
+    for seed in range(RELATION_STREAMS):
+        vehicles = relation_stream(seed)
+        budget = 1 + seed % 6
+        for mode in COUNTING_MODES:
+            want = decisions(outcome(part2.simulate_part2, vehicles, budget, mode))
+            got = decisions(outcome(part2.simulate_part2, tenths(vehicles), budget, mode))
+            assert got == want, (seed, budget, mode)
+
+
+def test_dividing_every_speed_keeps_both_kernels_on_a_fixed_lane_map():
+    def counts(stream, lane_of, lane_count, interior):
+        pairs = part1.enumerate_overtake_pairs(stream, lane_of)
+        return (outcome(part1.count_transitions, pairs, lane_count, interior),
+                outcome(part1.literal_count, stream, lane_of, lane_count))
+
+    for seed in range(RELATION_STREAMS):
+        vehicles = relation_stream(seed)
+        lane_of, lane_count = part1.build_lane_plan(vehicles)  # held fixed for both streams
+        interior = INTERIORS[seed % 2]
+        want = counts(vehicles, lane_of, lane_count, interior)
+        assert counts(tenths(vehicles), lane_of, lane_count, interior) == want, seed
