@@ -147,6 +147,13 @@ def _budget_flag(text: str) -> int | str:
     return text if text == "auto" else _count_flag(text)
 
 
+def _path_flag(text: str) -> str:
+    """An argparse type: a file or directory path; an empty one names none (exit 2)."""
+    if not text:
+        raise argparse.ArgumentTypeError("must be a path, got ''")
+    return text
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -230,29 +237,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run one planner over a vehicle CSV")
     p_sim.add_argument("--algo", choices=ALGORITHMS, required=True)
-    p_sim.add_argument("--input", required=True, help="vehicle CSV (id,speed,arrival)")
+    p_sim.add_argument("--input", type=_path_flag, required=True, help="vehicle CSV (id,speed,arrival)")
     p_sim.add_argument("--mode", choices=COUNTING_MODES, default="event")
     p_sim.add_argument("--budget", type=_budget_flag, default=None,
                        help="lane budget for part2: an integer or 'auto'")
     p_sim.add_argument("--interior", choices=INTERIORS, default="lower",
                        help="neighbour an interior lane transitions to")
-    p_sim.add_argument("--out", default=None, help="report path (default: stdout)")
+    p_sim.add_argument("--out", type=_path_flag, help="report path (default: stdout)")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_sample = sub.add_parser("sample", help="synthesize a vehicle CSV from a census row")
-    p_sample.add_argument("--census", default=None, help="census CSV (default: bundled token samples)")
+    p_sample.add_argument("--census", type=_path_flag, help="census CSV (default: bundled token samples)")
     p_sample.add_argument("--row", default="1", help="row name or 1-based index (default: 1)")
     p_sample.add_argument("--n", type=_count_flag, required=True, help="target sample size")
     p_sample.add_argument("--seed", type=_seed_flag, default=None,
                           help="synthesis seed (default: config file, else 0)")
-    p_sample.add_argument("--config", default=None, help="flat key-value config file")
-    p_sample.add_argument("--out", default=None, help="vehicle CSV path (default: stdout)")
+    p_sample.add_argument("--config", type=_path_flag, help="flat key-value config file")
+    p_sample.add_argument("--out", type=_path_flag, help="vehicle CSV path (default: stdout)")
     p_sample.set_defaults(func=_cmd_sample)
 
     p_stats = sub.add_parser("stats", help="expectation and dispersion for a counts file")
-    p_stats.add_argument("--counts", required=True, help="counts CSV: label header + one count row")
+    p_stats.add_argument("--counts", type=_path_flag, required=True,
+                         help="counts CSV: label header + one count row")
     p_stats.add_argument("--n", type=_count_flag, required=True, help="sample size for the expectation")
-    p_stats.add_argument("--out", default=None, help="JSON path (default: stdout)")
+    p_stats.add_argument("--out", type=_path_flag, help="JSON path (default: stdout)")
     p_stats.set_defaults(func=_cmd_stats)
 
     p_cmp = sub.add_parser("compare", help="ensemble comparison of both planners")
@@ -262,10 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--base-seed", type=_seed_flag, default=None,
                        help="ensemble base seed (default: 0)")
     p_cmp.add_argument("--mode", choices=COUNTING_MODES, default=None)
-    p_cmp.add_argument("--census", default=None, help="census CSV (default: bundled token samples)")
+    p_cmp.add_argument("--census", type=_path_flag, help="census CSV (default: bundled token samples)")
     p_cmp.add_argument("--row", default="1", help="source row name or 1-based index (default: 1)")
-    p_cmp.add_argument("--config", default=None, help="flat key-value config file")
-    p_cmp.add_argument("--out-dir", default=".", help="directory for compare.{csv,json,svg}")
+    p_cmp.add_argument("--config", type=_path_flag, help="flat key-value config file")
+    p_cmp.add_argument("--out-dir", type=_path_flag, default=".",
+                       help="directory for compare.{csv,json,svg}")
     p_cmp.set_defaults(func=_cmd_compare)
 
     return parser

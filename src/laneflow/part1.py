@@ -38,7 +38,7 @@ on the speeds.
 
 The two planners differ only in how they assign lanes: each hands its lane
 map (and in event mode its own count_transitions result) to planner_report,
-which makes the literal count, adds lane_statistics and builds the report.
+whose one lane_members pass feeds literal_count, lane_statistics and the report.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def enumerate_overtake_pairs(
 
 
 def count_transitions(
-    pairings: Iterable[tuple[VehicleRecord, VehicleRecord, int]],
+    pairings: list[tuple[VehicleRecord, VehicleRecord, int]],
     lane_count: int,
     interior: str = "lower",
 ) -> tuple[int, tuple[TransitionEvent, ...]]:
@@ -149,23 +149,17 @@ def count_transitions(
     A plan with a single lane cannot host any transition: if pairs exist the
     situation is contradictory and PlanHasNoAdjacentLane is raised.
     """
-    pairings = list(pairings)
     if pairings and lane_count == 1:
-        raise PlanHasNoAdjacentLane(
-            "overtaking pairs exist but the plan holds a single lane"
-        )
+        raise PlanHasNoAdjacentLane("overtaking pairs exist but the plan holds a single lane")
     # Exact ratios slow*head/(fast-slow) on integer speeds (see the module
     # docstring), on one scale taken from the pairs' distinct speeds.
     speeds = {slow.speed for slow, _, _ in pairings} | {fast.speed for _, fast, _ in pairings}
     scaled, _ = common_scale(speeds)
-    targets: dict[int, int] = {}
+    targets = {lane: transition_target(lane, lane_count, interior)
+               for lane in range(1, lane_count + 1)} if pairings else {}
     events = []
     new = tuple.__new__  # a TransitionEvent without NamedTuple's Python-level __new__
     for slow, fast, lane in pairings:
-        try:
-            target = targets[lane]
-        except KeyError:
-            target = targets[lane] = transition_target(lane, lane_count, interior)
         s = scaled[slow.speed]
         head, gain = fast.arrival - slow.arrival, scaled[fast.speed] - s
         if head < 0 or gain <= 0:
@@ -173,36 +167,43 @@ def count_transitions(
                 f"{slow.id!r} -> {fast.id!r} is not an overtaking pair: the follower must be "
                 f"strictly faster (slow={slow.speed}, fast={fast.speed}) and arrive no earlier"
             )
-        ticks = -(-s * head // gain)
-        events.append(new(TransitionEvent, (fast.id, slow.id, lane, target, ticks if ticks > 1 else 1)))
+        ticks = -(-s * head // gain) or 1  # 0 only when head is 0; raised to tick 1
+        events.append(new(TransitionEvent, (fast.id, slow.id, lane, targets[lane], ticks)))
     return len(events), tuple(events)
 
 
-def literal_count(
-    vehicles: list[VehicleRecord], lane_of: Mapping[str, int], lane_count: int
-) -> int:
-    """The literal-mode transition count: floor(slow * head / gain) summed over
-    every qualifying pair, on the common integer scale, with no pair built.
+Lanes = dict[int, list[tuple[int, int]]]  # lane -> its members' (arrival, scaled speed)
 
-    Each lane's members are sorted by (arrival, scaled speed).  A member's
-    qualifying followers are then exactly the strictly faster members after
-    it: a member before it arrived earlier, or at the same tick and no
-    faster.  For the same reason a lane holds a qualifying pair exactly when
-    its sorted speeds rise somewhere, which is how a single-lane plan with
-    pairs is caught (PlanHasNoAdjacentLane, as in event mode), also when
-    every such pair counts 0.
-    """
-    scaled, _ = common_scale(v.speed for v in vehicles)
-    lanes: dict[int, list[tuple[int, int]]] = {}
+
+def lane_members(
+    vehicles: list[VehicleRecord], lane_of: Mapping[str, int], lane_count: int
+) -> tuple[Lanes, int]:
+    """Each lane's members as (arrival, scaled speed), in input order, for
+    lanes 1..lane_count (an empty lane holds []), and the scale L: the one
+    common_scale pass that literal_count and lane_statistics read."""
+    scaled, scale = common_scale(v.speed for v in vehicles)
+    lanes: Lanes = {lane: [] for lane in range(1, lane_count + 1)}
     for v in vehicles:
-        lanes.setdefault(lane_of[v.id], []).append((v.arrival, scaled[v.speed]))
+        lanes[lane_of[v.id]].append((v.arrival, scaled[v.speed]))
+    return lanes, scale
+
+
+def literal_count(lanes: Lanes) -> int:
+    """The literal-mode transition count of lane_members' lanes: floor(slow *
+    head / gain) summed over every qualifying pair, with no pair built.
+
+    Sorting each lane in place by (arrival, scaled speed) leaves a member's
+    qualifying followers exactly the strictly faster members after it: one
+    before it arrived earlier, or at the same tick and no faster.  So a lane
+    holds a qualifying pair exactly when its sorted speeds rise somewhere,
+    which is how a single-lane plan with pairs is caught (PlanHasNoAdjacentLane,
+    as in event mode), also when every such pair counts 0.
+    """
     total = 0
     for members in lanes.values():
         members.sort()
-        if lane_count == 1 and any(x[1] < y[1] for x, y in zip(members, members[1:])):
-            raise PlanHasNoAdjacentLane(
-                "overtaking pairs exist but the plan holds a single lane"
-            )
+        if len(lanes) == 1 and any(x[1] < y[1] for x, y in zip(members, members[1:])):
+            raise PlanHasNoAdjacentLane("overtaking pairs exist but the plan holds a single lane")
         for i, (a, s) in enumerate(members, 1):
             for b, f in members[i:]:
                 if f > s:
@@ -210,39 +211,28 @@ def literal_count(
     return total
 
 
-def lane_statistics(
-    vehicles: list[VehicleRecord], lane_of: Mapping[str, int], lane_count: int
-) -> tuple[dict[int, float], dict[int, int]]:
-    """Per-lane mean speed and population, averaged exactly then floated.
+def lane_statistics(lanes: Lanes, scale: int) -> tuple[dict[int, float], dict[int, int]]:
+    """Per-lane mean speed and population of lane_members' lanes.
 
-    Speeds are summed on the common integer scale L, so a lane's mean is the
+    A lane's scaled speeds sum to an integer total, so its mean is the
     rational total / (population * L); Python's int / int rounds that ratio
     correctly, so the float is the exact mean's nearest float.
     """
-    scaled, scale = common_scale(v.speed for v in vehicles)
-    totals = dict.fromkeys(range(1, lane_count + 1), 0)
-    members = dict.fromkeys(range(1, lane_count + 1), 0)
-    for v in vehicles:
-        lane = lane_of[v.id]
-        totals[lane] += scaled[v.speed]
-        members[lane] += 1
-    averages = {
-        lane: totals[lane] / (members[lane] * scale)
-        for lane in totals
-        if members[lane]
-    }
-    return averages, members
+    averages = {lane: sum(s for _, s in members) / (len(members) * scale)
+                for lane, members in lanes.items() if members}
+    return averages, {lane: len(members) for lane, members in lanes.items()}
 
 
 def planner_report(
     algorithm: str, vehicles: list[VehicleRecord], lane_of: Mapping[str, int], lane_count: int,
     mode: str, counted: tuple[int, tuple[TransitionEvent, ...]] | None,
 ) -> SimulationReport:
-    """Either planner's report from its lane map: in event mode counted is the
-    planner's own count_transitions result, in literal mode it is None and
-    literal_count counts here; both modes add lane_statistics."""
-    count, events = (literal_count(vehicles, lane_of, lane_count), ()) if mode == "literal" else counted
-    averages, populations = lane_statistics(vehicles, lane_of, lane_count)
+    """Either planner's report from its lane map and one lane_members pass: in
+    literal mode literal_count counts those lanes, in event mode counted is the
+    planner's own count_transitions result; both read lane_statistics."""
+    lanes, scale = lane_members(vehicles, lane_of, lane_count)
+    count, events = (literal_count(lanes), ()) if mode == "literal" else counted
+    averages, populations = lane_statistics(lanes, scale)
     return SimulationReport(algorithm, mode, lane_count, count, events, averages, populations)
 
 

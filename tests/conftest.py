@@ -1,5 +1,6 @@
 """Shared helpers: seeded random vehicle streams for property tests, each
-lane's speeds under a lane map, and a pause of the cyclic garbage collector."""
+lane's speeds under a lane map, the literal count of a stream under a lane
+map, and a pause of the cyclic garbage collector."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import gc
 import random
 
 from laneflow import VehicleRecord
+from laneflow.part1 import lane_members, literal_count
 
 
 def make_stream(seed: int, max_n: int = 200, float_share: float = 0.0) -> list[VehicleRecord]:
@@ -35,6 +37,11 @@ def lane_speeds(
     for v in sorted(vehicles, key=lambda v: v.arrival):
         speeds[lane_of[v.id]].append(v.speed)
     return {lane: tuple(held) for lane, held in speeds.items()}
+
+
+def literal_count_of(vehicles: list[VehicleRecord], lane_of: dict[str, int], lane_count: int) -> int:
+    """part1.literal_count of the lanes part1.lane_members groups the stream into."""
+    return literal_count(lane_members(vehicles, lane_of, lane_count)[0])
 
 
 def fail_write_number(monkeypatch, failing: int) -> None:

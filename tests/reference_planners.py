@@ -20,7 +20,7 @@ from typing import Any, Iterable, Mapping
 
 from laneflow.domain import SimulationReport, Speed, TransitionEvent, VehicleRecord
 from laneflow.errors import ConfigError, EmptyStream, PlanHasNoAdjacentLane
-from laneflow.part1 import build_lane_plan, lane_statistics, transition_target
+from laneflow.part1 import build_lane_plan, transition_target
 
 COUNTING_MODES = ("event", "literal")
 
@@ -157,7 +157,13 @@ def simulate_part1(
     lane_of, lane_count = build_lane_plan(vehicles)
     pairs = enumerate_pairs(vehicles, lane_of)
     count, events = count_transitions(pairs, lane_count, mode, interior)
-    averages, populations = lane_statistics(vehicles, lane_of, lane_count)
+    lanes: dict[int, list[int | Fraction]] = {lane: [] for lane in range(1, lane_count + 1)}
+    for v in vehicles:
+        lanes[lane_of[v.id]].append(exact(v.speed))
+    # each lane's exact mean, floated as simulate_part2 below floats lane.average
+    averages = {lane: float(sum(speeds, Fraction(0)) / len(speeds))
+                for lane, speeds in lanes.items() if speeds}
+    populations = {lane: len(speeds) for lane, speeds in lanes.items()}
     return SimulationReport(
         algorithm="part1",
         counting_mode=mode,

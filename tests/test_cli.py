@@ -483,7 +483,7 @@ def test_unwritable_output_exits_3_naming_the_path(capsys, tmp_path, three_vehic
     assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
 
 
-@pytest.mark.parametrize("target", ["", "."])
+@pytest.mark.parametrize("target", ["."])
 def test_an_out_path_with_no_file_name_exits_3_naming_it(capsys, tmp_path, monkeypatch, target):
     monkeypatch.chdir(tmp_path)
     code, stdout, err = run(capsys, "sample", "--n", "20", "--out", target)
@@ -491,6 +491,37 @@ def test_an_out_path_with_no_file_name_exits_3_naming_it(capsys, tmp_path, monke
     assert err.startswith(f"laneflow: cannot write {target}: ")
     assert stdout == ""
     assert list(tmp_path.iterdir()) == []
+
+
+# "<command> <flag>": a command line that gives that path flag an empty value
+EMPTY_PATHS = {
+    "simulate --input": ("simulate", "--algo", "part1", "--input", ""),
+    "simulate --out": ("simulate", "--algo", "part1", "--input", "{three}", "--out", ""),
+    "sample --census": ("sample", "--n", "20", "--census", ""),
+    "sample --config": ("sample", "--n", "20", "--config", ""),
+    "sample --out": ("sample", "--n", "20", "--out", ""),
+    "stats --counts": ("stats", "--counts", "", "--n", "20"),
+    "stats --out": ("stats", "--counts", "{counts}", "--n", "20", "--out", ""),
+    "compare --census": ("compare", "--census", ""),
+    "compare --config": ("compare", "--config", ""),
+    "compare --out-dir": ("compare", "--sizes", "8,12", "--runs", "2", "--out-dir", ""),
+}
+
+
+@pytest.mark.parametrize("case", EMPTY_PATHS)
+def test_an_empty_path_is_a_usage_error_naming_its_flag(capsys, tmp_path, monkeypatch, three_vehicles,
+                                                        no_ensemble, case):
+    counts = tmp_path / "counts.csv"
+    counts.write_text("Cars,Buses\n2,1\n", encoding="utf-8")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    argv = [arg.format(three=three_vehicles, counts=counts) for arg in EMPTY_PATHS[case]]
+    code, stdout, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert err.endswith(f"argument {case.split()[1]}: must be a path, got ''\n"), err
+    assert stdout == ""
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["counts.csv", "three.csv", "work"]
 
 
 class FullStdout:

@@ -31,7 +31,7 @@ import random
 import pytest
 
 import reference_planners as ref
-from conftest import collector_paused, lane_speeds
+from conftest import collector_paused, lane_speeds, literal_count_of
 from laneflow import (
     EnsembleSpec, PlanHasNoAdjacentLane, SynthConfig, VehicleRecord, canonical_json, render_report,
     run_compare,
@@ -307,7 +307,7 @@ def reference_literal_count(vehicles, lane_of, lane_count):
 
 
 def check_literal_count(vehicles, lane_of, lane_count, where):
-    got = outcome(part1.literal_count, vehicles, lane_of, lane_count)
+    got = outcome(literal_count_of, vehicles, lane_of, lane_count)
     assert got == outcome(reference_literal_count, vehicles, lane_of, lane_count), where
 
 
@@ -338,9 +338,9 @@ def test_single_lane_pair_that_counts_zero_still_raises():
     # equal arrivals: floor(5 * 0 / 2) = 0, yet a single lane cannot hold the pair
     vehicles = [VehicleRecord("slow", 5, 3), VehicleRecord("fast", 7, 3)]
     lane_of = {"slow": 1, "fast": 1}
-    assert part1.literal_count(vehicles, lane_of, 2) == 0
+    assert literal_count_of(vehicles, lane_of, 2) == 0
     with pytest.raises(PlanHasNoAdjacentLane):
-        part1.literal_count(vehicles, lane_of, 1)
+        literal_count_of(vehicles, lane_of, 1)
     check_literal_count(vehicles, lane_of, 1, "floor 0")
 
 
@@ -362,7 +362,7 @@ def check_kernels_against_closed_forms(triples):
         pair = ref.OvertakePair(s, f, h)
         assert event.catch_up_ticks == ref.catch_up_ticks(pair), (s, f, h)
         two = [VehicleRecord("slow", s, 0), VehicleRecord("fast", f, h)]
-        literal = part1.literal_count(two, both_in_lane_one, 2)
+        literal = literal_count_of(two, both_in_lane_one, 2)
         assert literal == ref.literal_overtake_count(pair), (s, f, h)
 
 
@@ -439,7 +439,7 @@ def test_dividing_every_speed_keeps_both_kernels_on_a_fixed_lane_map():
     def counts(stream, lane_of, lane_count, interior):
         pairs = part1.enumerate_overtake_pairs(stream, lane_of)
         return (outcome(part1.count_transitions, pairs, lane_count, interior),
-                outcome(part1.literal_count, stream, lane_of, lane_count))
+                outcome(literal_count_of, stream, lane_of, lane_count))
 
     for seed in range(RELATION_STREAMS):
         vehicles = relation_stream(seed)

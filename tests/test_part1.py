@@ -18,9 +18,10 @@ from laneflow import (
     simulate_part1,
     simulate_part2,
 )
-from laneflow.part1 import count_transitions, enumerate_overtake_pairs, literal_count, transition_target
+from laneflow import part1, part2
+from laneflow.part1 import common_scale, count_transitions, enumerate_overtake_pairs, transition_target
 
-from conftest import make_stream
+from conftest import literal_count_of, make_stream
 from reference_planners import exact, report_to_dict
 
 
@@ -156,7 +157,26 @@ def test_transition_target_is_adjacent_and_different():
 def test_literal_count_three_vehicle_example():
     vehicles = stream((20, 0), (35, 0), (45, 1))  # lane 2: 35 then 45 one tick later
     lane_of, lane_count = build_lane_plan(vehicles)
-    assert literal_count(vehicles, lane_of, lane_count) == 3  # floor(35 * 1 / 10)
+    assert literal_count_of(vehicles, lane_of, lane_count) == 3  # floor(35 * 1 / 10)
+
+
+def test_a_literal_report_scales_its_stream_once_per_planner_pass(monkeypatch):
+    # part1 scales only in lane_members, which feeds both the literal count and
+    # the lane statistics; part2 scales once more, for its own fold
+    calls = []
+
+    def counting_scale(speeds):
+        calls.append(1)
+        return common_scale(speeds)
+
+    for module in (part1, part2):
+        monkeypatch.setattr(module, "common_scale", counting_scale)
+    vehicles = stream((35.3, 0), (45.5, 1), (20.1, 0), (35.7, 2))  # one-decimal speeds: L = 10
+    for simulate, args, scales in ((simulate_part1, (), 1), (simulate_part2, (2,), 2)):
+        calls.clear()
+        report = simulate(vehicles, *args, mode="literal")
+        assert report.transition_count > 0
+        assert len(calls) == scales, simulate.__name__
 
 
 def test_count_transitions_rejects_non_overtaking_pairs():
@@ -170,7 +190,7 @@ def test_count_transitions_empty():
     assert count_transitions([], 4) == (0, ())
     assert count_transitions([], 1) == (0, ())
     no_pairs = stream((10, 0), (10, 5), (9, 9))  # one lane, nobody faster behind
-    assert literal_count(no_pairs, build_lane_plan(no_pairs)[0], 1) == 0
+    assert literal_count_of(no_pairs, build_lane_plan(no_pairs)[0], 1) == 0
 
 
 def test_unknown_mode_is_refused_before_any_work():
