@@ -23,7 +23,7 @@ the report of both planners.
 from __future__ import annotations
 
 from .config import check_at_least_one, check_counting_mode, check_interior, check_setting
-from .domain import SimulationReport, Speed, VehicleRecord
+from .domain import SimulationReport, Speed, VehicleRecord, classify_speed
 from .errors import EmptyStream
 from .part1 import common_scale, count_transitions, enumerate_overtake_pairs, planner_report
 
@@ -42,10 +42,10 @@ def _nearest(x: int, populations: list[int], totals: list[int]) -> int:
 
 def budget_from_part1(vehicles: list[VehicleRecord]) -> int:
     """Default budget: the lane count the speed-class planner would use, one
-    lane per distinct speed class."""
+    lane per distinct speed class; each distinct speed is classified once."""
     if not vehicles:
         raise EmptyStream("cannot plan lanes for an empty stream")
-    return len({v.speed_class for v in vehicles})
+    return len({classify_speed(speed) for speed in {v.speed for v in vehicles}})
 
 
 def assign_stream(vehicles: list[VehicleRecord], budget: int) -> tuple[dict[str, int], int]:

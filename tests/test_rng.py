@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from laneflow import SplitMix64, combine_seed
+from laneflow.rng import _CHUNK, _LOW_WORDS, _chunk_constants
 
 MASK = (1 << 64) - 1
 
@@ -26,6 +29,38 @@ def test_matches_reference_sequence():
     for seed in (0, 1, 42, 0xDEADBEEF, MASK):
         rng = SplitMix64(seed)
         assert [rng.next_u64() for _ in range(20)] == reference_stream(seed, 20)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+def test_a_batch_is_the_reference_sequence_and_the_stream_carries_on(k):
+    # batches end on and across chunk boundaries; the draw after a batch is
+    # the reference's next one, so the generator's state moved by exactly k
+    for seed in (0, 0xDEADBEEF, MASK):
+        draws = reference_stream(seed, k + 1)
+        rng = SplitMix64(seed)
+        assert rng.next_u64s(k) == draws[:k], (seed, k)
+        assert rng.next_u64() == draws[k], (seed, k)
+
+
+def test_the_cached_constants_serve_batches_of_any_size():
+    _chunk_constants.cache_clear()
+    rng = SplitMix64(5)
+    sizes = (37, 37, 1, _CHUNK)  # every batch after the first reuses its constants
+    draws = [rng.next_u64s(k) for k in sizes]
+    assert sum(draws, []) == reference_stream(5, sum(sizes))
+    info = _chunk_constants.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+
+
+@pytest.mark.parametrize("order", ["little", "big"])
+def test_lanes_read_back_lane_0_first_in_either_byte_order(order):
+    # sys.byteorder picks the read; here each order is written, read as
+    # native 64-bit words and put back, so both reads run on every machine
+    k = 5
+    lows = [(i + 1) * 0x9E3779B97F4A7C15 & MASK for i in range(k)]
+    z = sum((low | (low ^ MASK) << 64) << 128 * i for i, low in enumerate(lows))  # high half != low half
+    words = memoryview(z.to_bytes(16 * k, order)).cast("Q")[_LOW_WORDS[order]]
+    assert [int.from_bytes(w.to_bytes(8, sys.byteorder), order) for w in words] == lows
 
 
 def test_same_seed_same_stream():
@@ -91,6 +126,17 @@ def test_uniform_ints_refuses_an_empty_range_like_uniform_int():
                 batch.uniform_ints(k, 5, 4)
             assert str(batched.value) == str(single.value) == "empty range [5, 4]"
             assert batch.next_u64() == reference_stream(seed, 1)[0]  # nothing drawn
+
+
+def test_a_negative_count_is_refused_and_draws_nothing():
+    for seed in SEEDS:
+        rng = SplitMix64(seed)
+        with pytest.raises(ValueError, match=r"^negative draw count -3$"):
+            rng.uniform_ints(-3, 1, 6)
+        with pytest.raises(ValueError, match=r"^negative draw count -1$"):
+            rng.next_u64s(-1)
+        rng.shuffle([])  # its n - 1 swaps are -1: still no draw, and no error
+        assert rng.next_u64() == reference_stream(seed, 1)[0]
 
 
 def test_shuffle_draws_once_per_swap():

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from laneflow import ClassCountVector, ConfigError, SynthConfig, synthesize_stream
+from laneflow.domain import render_vehicle_file
+from laneflow.refdata import load_token_samples
+from laneflow.stats import scale_class_counts
 from laneflow.synth import DEFAULT_ARRIVAL_GAP_MAX, DEFAULT_SPEED_RANGES
 
 
@@ -113,3 +118,33 @@ def test_speed_range_bounds_must_be_integers(bounds):
 def test_empty_stream_for_all_zero_counts():
     counts = make_counts({"Cars": 0})
     assert synthesize_stream(counts, SynthConfig(), 1) == []
+
+
+def _row1_scaled(n):
+    return scale_class_counts(load_token_samples().usable_counts(1), n)
+
+
+# sha256 of the rendered stream, recorded from the step-by-step generator
+# (one splitmix64 loop iteration per draw); they pin the draw order and values.
+GOLDEN_STREAMS = {
+    "one-vehicle": (lambda: make_counts({"Cars": 1}), SynthConfig(), 0,
+                    "93beb751b1ab41c31894f496c7c26c4151fbbafea58210c33b46e4b67ac1bd79"),
+    "zero-count-class": (lambda: make_counts({"Cars": 3, "Trucks": 0, "Buses": 2}), SynthConfig(), 7,
+                         "6350aa4e7e5c74725801a1e5f03151b9104e42af23703c64d45490574cbd6566"),
+    "gap-max-1": (lambda: make_counts({"Rickshaw": 5, "Cars": 10}), SynthConfig(arrival_gap_max=1), 11,
+                  "caaa859a4088e9e5c6186f5f191d3d8ad2b195ab3e92903b34c218fd93f8b1e3"),
+    "gap-max-5": (lambda: make_counts({"Rickshaw": 5, "Cars": 10}), SynthConfig(arrival_gap_max=5), 11,
+                  "873734054812cb14b9029fa889f62133fd7cabeb5c82603b9754f1515c8ff5ff"),
+    "row1-n400": (lambda: _row1_scaled(400), SynthConfig(), 0,
+                  "1df5ce1226696c83b355c2c14eb583f0f19e6aa799a090fb3002dd2d1c30e772"),
+    # 1999 vehicles, 5996 draws: the batch crosses a chunk boundary
+    "row1-n2000": (lambda: _row1_scaled(2000), SynthConfig(), (1 << 64) - 1,
+                   "206c3782cb62d0cb3f2e84d33b347bcca52a02aa36941cfd53fc6ddf25ad5c69"),
+}
+
+
+@pytest.mark.parametrize("case", GOLDEN_STREAMS)
+def test_streams_keep_their_bytes(case):
+    counts, config, seed, digest = GOLDEN_STREAMS[case]
+    text = render_vehicle_file(synthesize_stream(counts(), config, seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
