@@ -25,6 +25,7 @@ from typing import Iterator, NamedTuple
 from .errors import EmptyStream, ParseError, SpeedOutOfModel
 
 Speed = int | float  # km/h; int preserved when the source text is integral
+_SPEED_TYPES = (int, float)  # exactly these: a bool, Decimal or Fraction speed is refused
 
 ALGORITHMS = ("part1", "part2")  # the speed-class and the lane-budget planner
 COUNTING_MODES = ("event", "literal")  # part1.count_transitions or part1.literal_count
@@ -68,6 +69,9 @@ class VehicleRecord:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("vehicle id must be a non-empty string")
+        if type(self.speed) not in _SPEED_TYPES:
+            raise ValueError(f"vehicle {self.id!r}: speed must be an int or a float, "
+                             f"not {type(self.speed).__name__}")
         if not 0 < self.speed < 101:
             raise SpeedOutOfModel(
                 f"vehicle {self.id!r}: speed {self.speed} outside the modeled interval (0, 101) km/h"

@@ -8,8 +8,9 @@ an interior preference) raises ConfigError naming the argument, whether it
 came from a flag, a config line or a library call (config.check_setting).
 
 ValueError remains for data that breaks a function's own contract: a
-duplicate vehicle id, a pair that does not overtake, a VehicleRecord whose
-fields break its invariants.
+duplicate vehicle id, a pair that does not overtake or lies outside the plan,
+a VehicleRecord whose fields break its invariants (its speed must be of type
+int or float, not bool, Decimal or Fraction, before its range is checked).
 """
 
 from __future__ import annotations

@@ -147,7 +147,8 @@ def count_transitions(
     with its catch-up tick; returns (event count, events).
 
     A plan with a single lane cannot host any transition: if pairs exist the
-    situation is contradictory and PlanHasNoAdjacentLane is raised.
+    situation is contradictory and PlanHasNoAdjacentLane is raised.  A pair
+    whose lane lies outside 1..lane_count raises ValueError.
     """
     if pairings and lane_count == 1:
         raise PlanHasNoAdjacentLane("overtaking pairs exist but the plan holds a single lane")
@@ -159,16 +160,19 @@ def count_transitions(
                for lane in range(1, lane_count + 1)} if pairings else {}
     events = []
     new = tuple.__new__  # a TransitionEvent without NamedTuple's Python-level __new__
-    for slow, fast, lane in pairings:
-        s = scaled[slow.speed]
-        head, gain = fast.arrival - slow.arrival, scaled[fast.speed] - s
-        if head < 0 or gain <= 0:
-            raise ValueError(
-                f"{slow.id!r} -> {fast.id!r} is not an overtaking pair: the follower must be "
-                f"strictly faster (slow={slow.speed}, fast={fast.speed}) and arrive no earlier"
-            )
-        ticks = -(-s * head // gain) or 1  # 0 only when head is 0; raised to tick 1
-        events.append(new(TransitionEvent, (fast.id, slow.id, lane, targets[lane], ticks)))
+    try:
+        for slow, fast, lane in pairings:
+            s = scaled[slow.speed]
+            head, gain = fast.arrival - slow.arrival, scaled[fast.speed] - s
+            if head < 0 or gain <= 0:
+                raise ValueError(
+                    f"{slow.id!r} -> {fast.id!r} is not an overtaking pair: the follower must be "
+                    f"strictly faster (slow={slow.speed}, fast={fast.speed}) and arrive no earlier"
+                )
+            ticks = -(-s * head // gain) or 1  # 0 only when head is 0; raised to tick 1
+            events.append(new(TransitionEvent, (fast.id, slow.id, lane, targets[lane], ticks)))
+    except KeyError as err:  # scaled holds every pair's speeds, so only targets misses
+        raise ValueError(f"lane {err.args[0]} outside 1..{lane_count}") from None
     return len(events), tuple(events)
 
 

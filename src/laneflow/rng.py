@@ -103,9 +103,6 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = seed & _MASK64
 
-    def next_u64(self) -> int:
-        return self.next_u64s(1)[0]
-
     def next_u64s(self, k: int) -> list[int]:
         """The next k raw outputs, in order; a negative k raises ValueError
         and draws nothing."""
@@ -120,18 +117,10 @@ class SplitMix64:
         return out
 
     def uniform_int(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi], both ends inclusive."""
-        return self.uniform_ints(1, lo, hi)[0]
-
-    def uniform_ints(self, k: int, lo: int, hi: int) -> list[int]:
-        """k uniform integers in [lo, hi], drawn in one batch; uniform_int draws one."""
+        """Uniform integer in [lo, hi], both ends inclusive, from one draw."""
         if hi < lo:
             raise ValueError(f"empty range [{lo}, {hi}]")
-        return bounded(self.next_u64s(k), lo, hi)
-
-    def shuffle(self, items: MutableSequence) -> None:
-        """In-place Fisher-Yates shuffle, one draw per swap, high index down."""
-        fisher_yates(items, self.next_u64s(max(len(items) - 1, 0)))
+        return bounded(self.next_u64s(1), lo, hi)[0]
 
 
 def combine_seed(base: int, *coords: int) -> int:

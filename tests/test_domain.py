@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -88,6 +89,16 @@ def test_vehicle_record_validation():
         VehicleRecord(id="x", speed=30, arrival=1.5)
     with pytest.raises(ValueError):
         VehicleRecord(id="x", speed=30, arrival=True)
+
+
+@pytest.mark.parametrize(
+    "speed", [Fraction(71, 2), Decimal("35.5"), "35", True], ids=lambda speed: type(speed).__name__
+)
+def test_a_speed_that_is_not_an_int_or_a_float_is_refused(speed):
+    # checked before the range, so "35" is not compared and True is not read as 1 km/h
+    message = f"^vehicle 'x': speed must be an int or a float, not {type(speed).__name__}$"
+    with pytest.raises(ValueError, match=message):
+        VehicleRecord(id="x", speed=speed, arrival=0)
 
 
 def test_parse_round_trip():

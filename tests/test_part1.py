@@ -186,6 +186,14 @@ def test_count_transitions_rejects_non_overtaking_pairs():
             count_transitions([bad], 2)
 
 
+def test_count_transitions_refuses_a_lane_outside_the_plan():
+    slow, fast = stream((35, 0), (45, 1))
+    for lane_count in (2, 3):
+        for lane in (0, lane_count + 1):
+            with pytest.raises(ValueError, match=rf"^lane {lane} outside 1\.\.{lane_count}$"):
+                count_transitions([(slow, fast, 1), (slow, fast, lane)], lane_count)
+
+
 def test_count_transitions_empty():
     assert count_transitions([], 4) == (0, ())
     assert count_transitions([], 1) == (0, ())
@@ -291,8 +299,7 @@ def test_transition_count_is_permutation_invariant():
         vehicles = make_stream(seed, max_n=40)
         if build_lane_plan(vehicles)[1] == 1:
             continue
-        shuffled = vehicles[:]
-        rng.shuffle(shuffled)
+        shuffled = rng.sample(vehicles, len(vehicles))
         for mode in ("event", "literal"):
             assert (
                 simulate_part1(vehicles, mode).transition_count

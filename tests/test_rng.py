@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from laneflow import SplitMix64, combine_seed
-from laneflow.rng import _CHUNK, _LOW_WORDS, _chunk_constants
+from laneflow.rng import _CHUNK, _LOW_WORDS, _chunk_constants, bounded, fisher_yates
 
 MASK = (1 << 64) - 1
 
@@ -26,9 +26,11 @@ def reference_stream(seed: int, count: int) -> list[int]:
 
 
 def test_matches_reference_sequence():
+    # 20 single draws and one batch of 20 both give the reference sequence
     for seed in (0, 1, 42, 0xDEADBEEF, MASK):
         rng = SplitMix64(seed)
-        assert [rng.next_u64() for _ in range(20)] == reference_stream(seed, 20)
+        assert [rng.next_u64s(1)[0] for _ in range(20)] == reference_stream(seed, 20)
+        assert SplitMix64(seed).next_u64s(20) == reference_stream(seed, 20)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
@@ -39,7 +41,7 @@ def test_a_batch_is_the_reference_sequence_and_the_stream_carries_on(k):
         draws = reference_stream(seed, k + 1)
         rng = SplitMix64(seed)
         assert rng.next_u64s(k) == draws[:k], (seed, k)
-        assert rng.next_u64() == draws[k], (seed, k)
+        assert rng.next_u64s(1) == [draws[k]], (seed, k)
 
 
 def test_the_cached_constants_serve_batches_of_any_size():
@@ -64,19 +66,16 @@ def test_lanes_read_back_lane_0_first_in_either_byte_order(order):
 
 
 def test_same_seed_same_stream():
-    a, b = SplitMix64(1234), SplitMix64(1234)
-    assert [a.next_u64() for _ in range(50)] == [b.next_u64() for _ in range(50)]
+    assert SplitMix64(1234).next_u64s(50) == SplitMix64(1234).next_u64s(50)
 
 
 def test_different_seeds_diverge():
-    a = [SplitMix64(1).next_u64(), SplitMix64(2).next_u64(), SplitMix64(3).next_u64()]
+    a = [SplitMix64(seed).next_u64s(1)[0] for seed in (1, 2, 3)]
     assert len(set(a)) == 3
 
 
 def test_outputs_are_64_bit():
-    rng = SplitMix64(7)
-    for _ in range(200):
-        assert 0 <= rng.next_u64() <= MASK
+    assert all(0 <= z <= MASK for z in SplitMix64(7).next_u64s(200))
 
 
 def test_uniform_int_bounds_and_coverage():
@@ -102,61 +101,56 @@ def test_uniform_int_rejects_empty_range():
 SEEDS = (0, 1, 42, 0xDEADBEEF, MASK)
 
 
-def test_uniform_ints_is_k_uniform_int_calls():
-    # the same values as the reference draws taken into [lo, hi], and the same end
-    # state, so later draws do not shift
+def test_uniform_int_refuses_an_empty_range_and_draws_nothing():
+    for seed in SEEDS:
+        rng = SplitMix64(seed)
+        with pytest.raises(ValueError, match=r"^empty range \[5, 4\]$"):
+            rng.uniform_int(5, 4)
+        assert rng.next_u64s(1) == reference_stream(seed, 1)  # nothing drawn
+
+
+def test_uniform_int_calls_are_one_bounded_batch():
+    # k calls give the reference draws taken into [lo, hi] by modulo, the same
+    # values as bounding one batch of k, and leave the stream k draws on
     for seed in SEEDS:
         for lo, hi in ((3, 7), (4, 4), (0, 5), (1, 100), (-3, 3), (0, MASK)):
             for k in (0, 1, 2, 17, 200):
                 draws = reference_stream(seed, k + 1)
                 expected = [lo + z % (hi - lo + 1) for z in draws[:k]]
-                batch, calls = SplitMix64(seed), SplitMix64(seed)
-                assert batch.uniform_ints(k, lo, hi) == expected, (seed, lo, hi, k)
+                calls = SplitMix64(seed)
                 assert [calls.uniform_int(lo, hi) for _ in range(k)] == expected, (seed, lo, hi, k)
-                assert batch.next_u64() == calls.next_u64() == draws[k], (seed, lo, hi, k)
-
-
-def test_uniform_ints_refuses_an_empty_range_like_uniform_int():
-    for seed in SEEDS:
-        with pytest.raises(ValueError) as single:
-            SplitMix64(seed).uniform_int(5, 4)
-        for k in (0, 1, 3):  # refused whatever k, so a bad range never passes silently
-            batch = SplitMix64(seed)
-            with pytest.raises(ValueError) as batched:
-                batch.uniform_ints(k, 5, 4)
-            assert str(batched.value) == str(single.value) == "empty range [5, 4]"
-            assert batch.next_u64() == reference_stream(seed, 1)[0]  # nothing drawn
+                assert bounded(SplitMix64(seed).next_u64s(k), lo, hi) == expected, (seed, lo, hi, k)
+                assert calls.next_u64s(1) == [draws[k]], (seed, lo, hi, k)
 
 
 def test_a_negative_count_is_refused_and_draws_nothing():
     for seed in SEEDS:
         rng = SplitMix64(seed)
-        with pytest.raises(ValueError, match=r"^negative draw count -3$"):
-            rng.uniform_ints(-3, 1, 6)
         with pytest.raises(ValueError, match=r"^negative draw count -1$"):
             rng.next_u64s(-1)
-        rng.shuffle([])  # its n - 1 swaps are -1: still no draw, and no error
-        assert rng.next_u64() == reference_stream(seed, 1)[0]
+        assert rng.next_u64s(1) == reference_stream(seed, 1)
 
 
 def test_shuffle_draws_once_per_swap():
-    # n - 1 draws, then the stream carries on; lists of 0 and 1 items draw nothing
+    # fisher_yates reads n - 1 draws and leaves any further ones unread; lists
+    # of 0 and 1 items read none
     for seed in SEEDS:
         for n in (0, 1, 2, 9, 50):
-            rng = SplitMix64(seed)
-            rng.shuffle(list(range(n)))
-            assert rng.next_u64() == reference_stream(seed, max(n, 1))[-1], (seed, n)
+            draws = reference_stream(seed, n + 2)
+            rest = iter(draws)
+            fisher_yates(list(range(n)), rest)
+            assert list(rest) == draws[max(n - 1, 0):], (seed, n)
 
 
 def test_shuffle_is_a_seeded_permutation():
     items = list(range(30))
     first = items[:]
-    SplitMix64(2024).shuffle(first)
+    fisher_yates(first, SplitMix64(2024).next_u64s(29))
     assert sorted(first) == items
     assert first != items  # astronomically unlikely to be identity
 
     second = items[:]
-    SplitMix64(2024).shuffle(second)
+    fisher_yates(second, SplitMix64(2024).next_u64s(29))
     assert second == first
 
 
@@ -168,7 +162,7 @@ def test_shuffle_matches_fisher_yates_oracle():
             j = draws[offset] % (i + 1)
             expected[i], expected[j] = expected[j], expected[i]
         shuffled = items[:]
-        SplitMix64(seed).shuffle(shuffled)
+        fisher_yates(shuffled, SplitMix64(seed).next_u64s(len(items) - 1))
         assert shuffled == expected, seed
 
 
