@@ -17,21 +17,26 @@ on decimal speeds.  The report writer is held to its spec,
 canonical_json(report_to_dict(report)), on every report the corpus gives.  part1.common_scale is held to the exact rule it shortcuts
 for integer speeds, on every stream of the corpus.  Nothing the planners,
 the writer or an ensemble build may form a reference cycle, since the CLI
-runs each command with the cyclic garbage collector paused.  Last, relations
+runs each command with the cyclic garbage collector paused.  Then relations
 between two runs of the program itself, which need no reference: shifting
-every arrival, or dividing every speed by ten, must not change a decision.
+every arrival, or dividing every speed by ten, must not change a decision,
+and a planner's literal count lies between Σticks − E and Σticks of its event
+run (E events).  Last, every stream of up to three vehicles over a small
+alphabet of speeds and arrivals is held to the oracle in every mode.
 """
 
 from __future__ import annotations
 
 import gc
+import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
 import reference_planners as ref
-from conftest import collector_paused, lane_speeds, literal_count_of
+from conftest import collector_paused, lane_speeds, literal_count_of, make_stream
 from laneflow import (
     EnsembleSpec, PlanHasNoAdjacentLane, SynthConfig, VehicleRecord, canonical_json, render_report,
     run_compare,
@@ -145,24 +150,31 @@ def test_budget_and_plan_refuse_the_empty_stream_alike():
     assert outcome(part2.budget_from_part1, []) == refused
 
 
+def check_against_reference(vehicles, budgets, runs, where):
+    """part1, and part2 at each budget, give the oracle's rendered report or
+    refusal on vehicles in each (mode, interior) run; returns how often each
+    outcome kind occurred."""
+    planners = [(part1.simulate_part1, ref.simulate_part1, ())]
+    planners += [(part2.simulate_part2, ref.simulate_part2, (budget,)) for budget in budgets]
+    kinds = Counter()
+    for program, reference, budget in planners:
+        for mode, interior in runs:
+            args = (vehicles, *budget, mode, interior)
+            got = outcome(program, *args)
+            check_events(got, (where, *args[1:]))
+            want = rendered(outcome(reference, *args))
+            assert rendered(got) == want, (where, program.__module__, *args[1:])
+            kinds[got[0]] += 1
+    return kinds
+
+
 def test_reports_match_the_reference():
     for seed in range(STREAMS):
         vehicles = corpus_stream(seed)
-        budget = 1 + seed % 7
         check_plan(vehicles, seed)
         # the interior preference only shapes events; literal mode takes one per stream
-        literal = ("literal", ("lower", "upper")[seed % 2])
-        for mode, interior in (("event", "lower"), ("event", "upper"), literal):
-            args = (vehicles, mode, interior)
-            got = outcome(part1.simulate_part1, *args)
-            check_events(got, (seed, mode, interior))
-            assert rendered(got) == rendered(outcome(ref.simulate_part1, *args)), (seed, mode, interior)
-            args = (vehicles, budget, mode, interior)
-            got = outcome(part2.simulate_part2, *args)
-            check_events(got, (seed, budget, mode, interior))
-            assert rendered(got) == rendered(
-                outcome(ref.simulate_part2, *args)
-            ), (seed, budget, mode, interior)
+        runs = (("event", "lower"), ("event", "upper"), ("literal", INTERIORS[seed % 2]))
+        check_against_reference(vehicles, (1 + seed % 7,), runs, seed)
 
 
 def corpus_reports():
@@ -447,3 +459,44 @@ def test_dividing_every_speed_keeps_both_kernels_on_a_fixed_lane_map():
         interior = INTERIORS[seed % 2]
         want = counts(vehicles, lane_of, lane_count, interior)
         assert counts(tenths(vehicles), lane_of, lane_count, interior) == want, seed
+
+
+BOUND_STREAMS = 600  # about 3 s
+BOUND_PLANNERS = [(part1.simulate_part1, ())] + [(part2.simulate_part2, (budget,)) for budget in range(1, 6)]
+
+
+def test_literal_count_lies_within_one_tick_per_event():
+    # per pair, with x = s·head/gain, the event's catch-up tick is max(1, ⌈x⌉)
+    # and the literal count adds ⌊x⌋, so each pair adds 0 or 1 to Σticks − literal
+    lower = upper = 0
+    for seed in range(BOUND_STREAMS):
+        vehicles = make_stream(seed, max_n=120, float_share=0.5 if seed % 4 == 0 else 0.0)
+        for planner, args in BOUND_PLANNERS:
+            event = outcome(planner, vehicles, *args, "event")
+            literal = outcome(planner, vehicles, *args, "literal")
+            where = (seed, planner.__module__, args)
+            if event[0] != "ok":
+                assert literal == event, where
+                continue
+            ticks = sum(e.catch_up_ticks for e in event[1].events)
+            count = literal[1].transition_count
+            assert ticks - len(event[1].events) <= count <= ticks, where
+            lower += count == ticks - len(event[1].events)
+            upper += count == ticks
+    assert lower > 0 and upper > 0  # the bound is tight on both sides
+
+
+def test_every_small_stream_matches_the_reference():
+    # n <= 3 over three class bands (A: 5, 10, 10.5; B: 20; C: 40), a decimal
+    # speed and tied arrivals: every tie and band edge this alphabet can form
+    records = [(s, a) for s in (5, 10, 10.5, 20, 40) for a in (0, 1, 2)]
+    runs = list(itertools.product(COUNTING_MODES, INTERIORS))
+    streams, kinds = 0, Counter()
+    for n in (1, 2, 3):
+        for picks in itertools.product(records, repeat=n):
+            vehicles = [VehicleRecord(f"v{i + 1}", s, a) for i, (s, a) in enumerate(picks)]
+            streams += 1
+            kinds += check_against_reference(vehicles, (1, 2, 3), runs, picks)
+    assert streams == 3615
+    # refusals are compared too, not only reports, and nothing else is raised
+    assert set(kinds) == {"ok", "PlanHasNoAdjacentLane"}

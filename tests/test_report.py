@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 import builtins
 import errno
 import random
 import tracemalloc
 import types
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -41,7 +44,8 @@ def assert_renders_its_spec(report):
 
 def test_the_package_exports_its_writer_and_not_the_spec():
     # the spec lives with the test oracle; __all__ is exactly the root's
-    # public names, so no name goes missing from it and none is stale
+    # public names, so no name goes missing from it and none is stale, and
+    # the root's source spells each of them once
     public = {
         name for name, value in vars(laneflow).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
@@ -50,6 +54,9 @@ def test_the_package_exports_its_writer_and_not_the_spec():
     assert len(laneflow.__all__) == len(set(laneflow.__all__))
     for name in laneflow.__all__:
         getattr(laneflow, name)
+    strings = Counter(node.value for node in ast.walk(ast.parse(Path(laneflow.__file__).read_text()))
+                      if isinstance(node, ast.Constant))
+    assert {name: strings[name] for name in laneflow.__all__} == dict.fromkeys(laneflow.__all__, 1)
     assert "render_report" in laneflow.__all__
     assert not hasattr(laneflow, "report_to_dict")
 
