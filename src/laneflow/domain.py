@@ -67,7 +67,7 @@ class VehicleRecord:
     arrival: int
 
     def __post_init__(self) -> None:
-        if not self.id:
+        if type(self.id) is not str or not self.id:
             raise ValueError("vehicle id must be a non-empty string")
         if type(self.speed) not in _SPEED_TYPES:
             raise ValueError(f"vehicle {self.id!r}: speed must be an int or a float, "
@@ -90,7 +90,8 @@ class TransitionEvent(NamedTuple):
     """One predicted lane transition caused by an overtaking pair.
 
     Made only by part1.count_transitions, which keeps the two lanes adjacent
-    and inside the plan and catch_up_ticks at least 1.
+    and inside the plan, from a pair that part1.enumerate_overtake_pairs
+    found and stamped with catch_up_ticks at least 1.
     """
 
     overtaker_id: str

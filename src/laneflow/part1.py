@@ -8,7 +8,8 @@ read two ways:
 
 * event   - one transition per pair, stamped with its catch-up tick
             (enumerate_overtake_pairs returns a list of plain
-            (slow, fast, lane) tuples, then count_transitions)
+            (slow, fast, lane, tick) tuples, then count_transitions
+            names each one's lanes)
 * literal - per pair, every tick the follower is still at or behind the
             leader is counted; literal_count sums these straight from each
             lane's members and builds no pairs
@@ -22,8 +23,9 @@ leader at
     catch-up tick = max(1, ceil(slow * head / gain))
 
 and spends floor(slow * head / gain) ticks at or behind it.
-count_transitions stamps each event with the first, -(-slow * head // gain)
-raised to at least 1; literal_count sums the second, slow * head // gain.
+enumerate_overtake_pairs stamps each pair with the first, -(-slow * head //
+gain) raised to at least 1, in the lane walk that finds it; literal_count
+sums the second, slow * head // gain.
 
 All arithmetic is exact: a speed is read as the decimal it was written as,
 so a parsed "35.3" is 353/10, never its binary float.  common_scale maps
@@ -113,67 +115,54 @@ def build_lane_plan(vehicles: list[VehicleRecord]) -> tuple[dict[str, int], int]
 
 def enumerate_overtake_pairs(
     vehicles: list[VehicleRecord], lane_of: Mapping[str, int]
-) -> list[tuple[VehicleRecord, VehicleRecord, int]]:
+) -> list[tuple[VehicleRecord, VehicleRecord, int, int]]:
     """Every ordered same-lane pair with a strictly faster, no-earlier follower,
-    as a plain (slow, fast, lane) tuple.
+    as a plain (slow, fast, lane, catch-up tick) tuple.
 
     lane_of maps each vehicle id to its lane.  Pairs come back
     lexicographically by (leader position, follower position) in the input
     stream, which keeps downstream event lists deterministic.
     """
-    # Only same-lane followers qualify, so each leader scans its own lane's
-    # members, kept in input order so pairs come out in the pairwise order.
-    members: dict[int, list[tuple[Speed, int, VehicleRecord]]] = {}
+    # Exact ratios slow*head/(fast-slow) on integer speeds (see the module
+    # docstring), on one scale taken from the stream.  Only same-lane
+    # followers qualify, so each leader scans its own lane's members, kept in
+    # input order so pairs come out in the pairwise order.
+    scaled, _ = common_scale(v.speed for v in vehicles)
+    members: dict[int, list[tuple[int, int, VehicleRecord]]] = {}
     for v in vehicles:
-        members.setdefault(lane_of[v.id], []).append((v.speed, v.arrival, v))
-    pairs: list[tuple[VehicleRecord, VehicleRecord, int]] = []
+        members.setdefault(lane_of[v.id], []).append((scaled[v.speed], v.arrival, v))
+    pairs: list[tuple[VehicleRecord, VehicleRecord, int, int]] = []
     for slow in vehicles:
         lane = lane_of[slow.id]
-        speed, arrival = slow.speed, slow.arrival
+        s, a = scaled[slow.speed], slow.arrival
         pairs += [
-            (slow, fast, lane)
-            for fast_speed, fast_arrival, fast in members[lane]
-            if speed < fast_speed and arrival <= fast_arrival
+            (slow, fast, lane, -(-s * (b - a) // (f - s)) or 1)  # 0 only when b == a: tick 1
+            for f, b, fast in members[lane]
+            if s < f and a <= b
         ]
     return pairs
 
 
 def count_transitions(
-    pairings: list[tuple[VehicleRecord, VehicleRecord, int]],
+    pairings: list[tuple[VehicleRecord, VehicleRecord, int, int]],
     lane_count: int,
     interior: str = "lower",
 ) -> tuple[int, tuple[TransitionEvent, ...]]:
-    """One transition event per qualifying (slow, fast, lane) pair, stamped
-    with its catch-up tick; returns (event count, events).
+    """One transition event per (slow, fast, lane, tick) pair of
+    enumerate_overtake_pairs, from the pair's lane to its adjacent target;
+    returns (event count, events).
 
     A plan with a single lane cannot host any transition: if pairs exist the
-    situation is contradictory and PlanHasNoAdjacentLane is raised.  A pair
-    whose lane lies outside 1..lane_count raises ValueError.
+    situation is contradictory and PlanHasNoAdjacentLane is raised.
     """
     if pairings and lane_count == 1:
         raise PlanHasNoAdjacentLane("overtaking pairs exist but the plan holds a single lane")
-    # Exact ratios slow*head/(fast-slow) on integer speeds (see the module
-    # docstring), on one scale taken from the pairs' distinct speeds.
-    speeds = {slow.speed for slow, _, _ in pairings} | {fast.speed for _, fast, _ in pairings}
-    scaled, _ = common_scale(speeds)
     targets = {lane: transition_target(lane, lane_count, interior)
                for lane in range(1, lane_count + 1)} if pairings else {}
-    events = []
     new = tuple.__new__  # a TransitionEvent without NamedTuple's Python-level __new__
-    try:
-        for slow, fast, lane in pairings:
-            s = scaled[slow.speed]
-            head, gain = fast.arrival - slow.arrival, scaled[fast.speed] - s
-            if head < 0 or gain <= 0:
-                raise ValueError(
-                    f"{slow.id!r} -> {fast.id!r} is not an overtaking pair: the follower must be "
-                    f"strictly faster (slow={slow.speed}, fast={fast.speed}) and arrive no earlier"
-                )
-            ticks = -(-s * head // gain) or 1  # 0 only when head is 0; raised to tick 1
-            events.append(new(TransitionEvent, (fast.id, slow.id, lane, targets[lane], ticks)))
-    except KeyError as err:  # scaled holds every pair's speeds, so only targets misses
-        raise ValueError(f"lane {err.args[0]} outside 1..{lane_count}") from None
-    return len(events), tuple(events)
+    events = tuple([new(TransitionEvent, (fast.id, slow.id, lane, targets[lane], tick))
+                    for slow, fast, lane, tick in pairings])
+    return len(events), events
 
 
 Lanes = dict[int, list[tuple[int, int]]]  # lane -> its members' (arrival, scaled speed)

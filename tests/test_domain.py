@@ -91,6 +91,13 @@ def test_vehicle_record_validation():
         VehicleRecord(id="x", speed=30, arrival=True)
 
 
+def test_a_vehicle_id_that_is_not_a_str_is_refused():
+    # an int id used to build, then broke render_report and render_vehicle_file
+    for bad in (5, b"v1", ("v", 1)):
+        with pytest.raises(ValueError, match="^vehicle id must be a non-empty string$"):
+            VehicleRecord(id=bad, speed=35, arrival=0)
+
+
 @pytest.mark.parametrize(
     "speed", [Fraction(71, 2), Decimal("35.5"), "35", True], ids=lambda speed: type(speed).__name__
 )

@@ -74,19 +74,19 @@ def test_lane_formation_rejects_bad_input():
 def test_pair_enumeration_guard():
     plan_and_pairs = lambda vs: enumerate_overtake_pairs(vs, build_lane_plan(vs)[0])
 
-    def head_start(pair):
-        slow, fast, _ = pair
-        return fast.arrival - slow.arrival
+    def head_start_and_tick(pair):
+        slow, fast, _, tick = pair
+        return fast.arrival - slow.arrival, tick
 
     caught_up = plan_and_pairs(stream((35, 0), (45, 1)))
     assert len(caught_up) == 1
-    assert head_start(caught_up[0]) == 1
+    assert head_start_and_tick(caught_up[0]) == (1, 4)  # ceil(35 * 1 / 10)
 
     assert plan_and_pairs(stream((35, 1), (45, 0))) == []
 
     same_tick = plan_and_pairs(stream((35, 0), (40, 0)))
     assert len(same_tick) == 1
-    assert head_start(same_tick[0]) == 0
+    assert head_start_and_tick(same_tick[0]) == (0, 1)  # ceil(0) raised to tick 1
 
 
 def test_pair_enumeration_covers_all_ordered_pairs():
@@ -94,8 +94,9 @@ def test_pair_enumeration_covers_all_ordered_pairs():
     # still be found, and order must follow input positions.
     vehicles = stream((40, 5), (45, 9), (35, 2))
     pairs = enumerate_overtake_pairs(vehicles, build_lane_plan(vehicles)[0])
-    labels = [(slow.id, fast.id) for slow, fast, _ in pairs]
-    assert labels == [("v1", "v2"), ("v3", "v1"), ("v3", "v2")]
+    labels = [(slow.id, fast.id, tick) for slow, fast, _, tick in pairs]
+    # ceil(40 * 4 / 5), ceil(35 * 3 / 5), ceil(35 * 7 / 10)
+    assert labels == [("v1", "v2", 32), ("v3", "v1", 21), ("v3", "v2", 25)]
 
 
 def test_count_transitions_event_mode():
@@ -161,8 +162,10 @@ def test_literal_count_three_vehicle_example():
 
 
 def test_a_literal_report_scales_its_stream_once_per_planner_pass(monkeypatch):
-    # part1 scales only in lane_members, which feeds both the literal count and
-    # the lane statistics; part2 scales once more, for its own fold
+    # part1 scales in lane_members, which feeds both the literal count and the
+    # lane statistics, and in event mode once more in enumerate_overtake_pairs,
+    # which stamps each pair's tick, so count_transitions scales nothing;
+    # part2 scales once more, for its own fold
     calls = []
 
     def counting_scale(speeds):
@@ -172,26 +175,13 @@ def test_a_literal_report_scales_its_stream_once_per_planner_pass(monkeypatch):
     for module in (part1, part2):
         monkeypatch.setattr(module, "common_scale", counting_scale)
     vehicles = stream((35.3, 0), (45.5, 1), (20.1, 0), (35.7, 2))  # one-decimal speeds: L = 10
-    for simulate, args, scales in ((simulate_part1, (), 1), (simulate_part2, (2,), 2)):
-        calls.clear()
-        report = simulate(vehicles, *args, mode="literal")
-        assert report.transition_count > 0
-        assert len(calls) == scales, simulate.__name__
-
-
-def test_count_transitions_rejects_non_overtaking_pairs():
-    slow, fast, later_slow = stream((35, 0), (45, 1), (35, 2))
-    for bad in ((fast, slow, 1), (slow, slow, 1), (later_slow, fast, 1)):
-        with pytest.raises(ValueError):
-            count_transitions([bad], 2)
-
-
-def test_count_transitions_refuses_a_lane_outside_the_plan():
-    slow, fast = stream((35, 0), (45, 1))
-    for lane_count in (2, 3):
-        for lane in (0, lane_count + 1):
-            with pytest.raises(ValueError, match=rf"^lane {lane} outside 1\.\.{lane_count}$"):
-                count_transitions([(slow, fast, 1), (slow, fast, lane)], lane_count)
+    for mode, part1_scales in (("literal", 1), ("event", 2)):
+        for simulate, args, scales in ((simulate_part1, (), part1_scales),
+                                       (simulate_part2, (2,), part1_scales + 1)):
+            calls.clear()
+            report = simulate(vehicles, *args, mode=mode)
+            assert report.transition_count > 0
+            assert len(calls) == scales, (mode, simulate.__name__)
 
 
 def test_count_transitions_empty():
